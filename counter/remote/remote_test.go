@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -236,6 +237,57 @@ func TestCancelAcrossDeadLink(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled CheckContext never resolved across the dead link")
 	}
+}
+
+// TestResetAfterCancelledCheck pins that a cancelled remote wait leaves
+// nothing on the server: the Reset straight after CheckContext returns
+// must be accepted, not refused (which the client reports as a panic).
+// Four sessions run the cycle 200 times each, so the server's reader
+// goroutines contend for the CPUs the way a loaded counterd's do.
+func TestResetAfterCancelledCheck(t *testing.T) {
+	addr := startServer(t)
+	const workers, rounds = 4, 200
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		c := dialClient(t, addr).Counter(countertest.FreshName("rac"))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if msg := resetAfterCancel(c, i); msg != "" {
+					errs <- msg
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+}
+
+// resetAfterCancel runs one cancelled Check then a Reset on c and
+// describes what went wrong, or returns "".
+func resetAfterCancel(c *remote.Counter, i int) (msg string) {
+	ctx, cancel := context.WithCancel(context.Background())
+	if i%2 == 1 {
+		cancel() // pre-cancelled: the Check and its Cancel leave in one flush
+	} else {
+		time.AfterFunc(time.Duration(i%5)*100*time.Microsecond, cancel)
+	}
+	if err := c.CheckContext(ctx, 1); err != context.Canceled {
+		return fmt.Sprintf("iteration %d: CheckContext = %v, want Canceled", i, err)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprintf("iteration %d: Reset after a cancelled Check panicked: %v", i, p)
+		}
+	}()
+	c.Reset()
+	return ""
 }
 
 // TestFanOutNoGoroutinePerWait registers thousands of waits through the

@@ -106,12 +106,12 @@ func init() {
 			"experiment prices the move: Increment→Check round trips against a loopback counterd " +
 			"versus the in-process engine, and the time for one Increment to wake N waiters spread " +
 			"over C connections.",
-		Notes: "The server multiplexes every remote wait onto the shared waitlist engine: per " +
-			"connection one reader and one writer goroutine, per busy counter one dispatcher " +
-			"parked in a single CheckContext on the minimum pending level. The goroutine columns " +
-			"assert the bound at run time — parking N waits adds no goroutines beyond that fixed " +
-			"overhead (the experiment panics if the count with N waits parked exceeds the " +
-			"pre-registration baseline plus a small constant), so a fan-out's cost is frames on " +
+		Notes: "The server parks every remote wait as a one-shot sentinel on the hosted " +
+			"counter's own waitlist: per connection one reader and one writer goroutine, and " +
+			"none per busy counter or per wait — the satisfying Increment's goroutine queues " +
+			"the wakes. The goroutine columns assert the bound at run time — parking N waits " +
+			"adds no goroutines (the experiment panics if the count with N waits parked exceeds " +
+			"the pre-registration baseline plus one of scheduler slack), so a fan-out's cost is frames on " +
 			"the wire, not goroutines in the server. RTT rows price the wire itself: a remote " +
 			"exchange costs loopback-TCP microseconds against the engine's in-process " +
 			"nanoseconds, which is the usual three-orders toll for crossing a socket, not a " +
@@ -152,10 +152,10 @@ func init() {
 			for _, f := range fanouts {
 				d, parked, before := remoteFanout(addr, f.conns, f.waiters)
 				added := parked - before
-				// The structural assertion: N parked waits may add at most
-				// one dispatcher goroutine plus scheduler slack — never a
-				// goroutine per wait, on either side of the wire.
-				if added > 4 {
+				// The structural assertion: N parked waits add 0 goroutines
+				// per busy counter and none per wait, on either side of the
+				// wire; the 1 is scheduler slack.
+				if added > 1 {
 					panic(fmt.Sprintf(
 						"E22: %d waits parked added %d goroutines (baseline %d → %d); per-wait goroutines leaked",
 						f.waiters, added, before, parked))

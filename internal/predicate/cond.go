@@ -360,9 +360,10 @@ func (c *Cond) Wait(ctx context.Context) error {
 }
 
 // Arm registers fn to run exactly once when the Cond settles, without
-// parking a goroutine — the callback analogue of Wait, built for the
-// counterd dispatcher, where one parked Cond entry must stand in for a
-// whole remote session's wait. Arm evaluates immediately: if the
+// parking a goroutine — the callback analogue of Wait, built for
+// counterd's wait table, where one parked Cond entry must stand in for a
+// whole remote session's wait, exactly as a core sentinel stands in for
+// a remote Check. Arm evaluates immediately: if the
 // predicate already holds (settling the Cond if needed) it returns
 // (nil, false) and fn will never run — the caller answers the waiter
 // directly. Otherwise it returns (cancel, true); fn runs on the

@@ -17,17 +17,6 @@ import (
 // one wake back, and zero client round trips for every increment that
 // cannot flip the predicate — the server's sentinels absorb them.
 
-// predWait is one parked OpWaitFor registration.
-type predWait struct {
-	id   uint64
-	cond *predicate.Cond // set before publication, read only by the reader goroutine
-	// cancel tears down the armed Cond callback; nil until the handler
-	// finishes arming. dead marks a teardown that raced the arming —
-	// whoever sets cancel second runs it. Both guarded by conn.waitMu.
-	cancel func() bool
-	dead   bool
-}
-
 // handleWaitFor executes one OpWaitFor frame: validate, build the
 // predicate over the hosted counters, and arm a callback that wakes the
 // client when it flips. An already-satisfied predicate wakes
@@ -62,98 +51,8 @@ func (c *conn) handleWaitFor(f *wire.Frame) error {
 		cs[i] = h.c
 	}
 
-	// Publish the entry before arming so a racing teardown can see it;
-	// the id is claimed across both wait tables.
 	cond := predicate.NewCond(pred, cs...)
-	pw := &predWait{id: f.ID, cond: cond}
-	c.waitMu.Lock()
-	_, dupW := c.waits[f.ID]
-	_, dupP := c.predWaits[f.ID]
-	if dupW || dupP {
-		c.waitMu.Unlock()
-		return fmt.Errorf("server: duplicate wait id %d", f.ID)
-	}
-	c.predWaits[f.ID] = pw
-	c.waitMu.Unlock()
-
-	id := f.ID
-	cancel, armed := cond.Arm(func() {
-		// Runs under the Cond's lock on the satisfying goroutine: drop
-		// the entry and enqueue the wake — both leaf locks, no blocking.
-		c.waitMu.Lock()
-		delete(c.predWaits, id)
-		c.waitMu.Unlock()
-		c.send(&wire.Frame{Op: wire.OpWake, ID: id})
-	})
-	if !armed {
-		// Already satisfied: answer straight away, nothing parks.
-		c.waitMu.Lock()
-		delete(c.predWaits, id)
-		c.waitMu.Unlock()
-		c.send(&wire.Frame{Op: wire.OpWake, ID: id})
-		return nil
-	}
-	c.waitMu.Lock()
-	if pw.dead {
-		// Teardown swept the table between publish and arm: unwind.
-		c.waitMu.Unlock()
-		cancel()
-		return nil
-	}
-	pw.cancel = cancel
-	c.waitMu.Unlock()
-	return nil
-}
-
-// handleWaitForCancel executes one OpWaitForCancel frame. Satisfied
-// beats cancelled on the wire exactly as in-process: if the wake
-// already fired (or fires while we race), the client gets OpWake, not
-// OpCancelled, and treats its predicate as satisfied.
-func (c *conn) handleWaitForCancel(f *wire.Frame) error {
-	c.waitMu.Lock()
-	pw := c.predWaits[f.ID]
-	var cancel func() bool
-	if pw != nil {
-		cancel = pw.cancel
-	}
-	c.waitMu.Unlock()
-	if pw == nil || cancel == nil {
-		return nil // already resolved; the wake frame answers the race
-	}
-	// Satisfied beats cancelled, evaluated NOW: this connection's
-	// increments are applied in frame order, so a pipelined
-	// increment-then-cancel sees the flip here even while the sentinel
-	// kick is still in flight. Poll settles the Cond, which runs the
-	// armed callback and enqueues the wake.
-	if pw.cond.Poll() {
-		return nil
-	}
-	if cancel() {
-		c.waitMu.Lock()
-		delete(c.predWaits, f.ID)
-		c.waitMu.Unlock()
-		c.send(&wire.Frame{Op: wire.OpCancelled, ID: f.ID})
-	}
-	return nil
-}
-
-// dropPredWaits cancels every parked predicate wait during connection
-// teardown. Called with no locks held; entries still mid-arming are
-// marked dead so the arming handler unwinds them itself.
-func (c *conn) dropPredWaits() {
-	c.waitMu.Lock()
-	pending := make([]*predWait, 0, len(c.predWaits))
-	for _, pw := range c.predWaits {
-		pw.dead = true
-		pending = append(pending, pw)
-	}
-	c.predWaits = make(map[uint64]*predWait)
-	c.waitMu.Unlock()
-	for _, pw := range pending {
-		if pw.cancel != nil {
-			pw.cancel()
-		}
-	}
+	return c.park(f.ID, &wait{pred: true, holds: cond.Poll}, cond.Arm)
 }
 
 // PredicateWaits returns the number of predicate waits currently parked
@@ -169,7 +68,11 @@ func (s *Server) PredicateWaits() int {
 	n := 0
 	for _, c := range conns {
 		c.waitMu.Lock()
-		n += len(c.predWaits)
+		for _, w := range c.waits {
+			if w.pred {
+				n++
+			}
+		}
 		c.waitMu.Unlock()
 	}
 	return n

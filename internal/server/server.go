@@ -6,17 +6,15 @@
 // panic — are the wire semantics; the server adds only sessions (for
 // retry-safe increment dedup) and the goroutine discipline:
 //
-//   - one reader goroutine per connection, multiplexing any number of
-//     outstanding Check waits onto the per-counter dispatcher
-//     (dispatch.go) — never a goroutine per blocked wait;
+//   - one reader goroutine per connection, parking any number of
+//     outstanding waits as one-shot callbacks on the hosted counters'
+//     own wake paths (wait.go) — never a goroutine per blocked wait;
 //   - one writer goroutine per connection, coalescing every queued
-//     frame (wakes, acks, replies) into batched flushes;
-//   - one transient dispatcher goroutine per counter with pending
-//     waits, parked in a single CheckContext on the minimum level.
+//     frame (wakes, acks, replies) into batched flushes.
 //
 // A fan-out of N remote waiters on C connections therefore costs the
-// server 2C+1 long-lived goroutines plus at most one per busy counter,
-// independent of N — experiment E22 asserts exactly this bound.
+// server 2C long-lived goroutines and none per counter, independent of
+// N — experiment E22 asserts exactly this bound.
 //
 // Wire v3 adds server-side predicate waits (predwait.go): an OpWaitFor
 // frame parks one predicate.Cond entry per session predicate, armed via
@@ -57,11 +55,10 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// hosted is one named counter plus its wait dispatcher.
+// hosted is one named counter.
 type hosted struct {
 	name string
 	c    *core.ShardedCounter
-	d    *dispatcher
 }
 
 // session carries the per-client state that survives reconnects: the
@@ -120,8 +117,7 @@ func (s *Server) Serve(lis net.Listener) error {
 		}
 		c := &conn{srv: s, nc: nc}
 		c.wcond = sync.NewCond(&c.wmu)
-		c.waits = make(map[uint64]*waiter)
-		c.predWaits = make(map[uint64]*predWait)
+		c.waits = make(map[uint64]*wait)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -169,8 +165,7 @@ func (s *Server) counter(name string) *hosted {
 	defer s.mu.Unlock()
 	h, ok := s.counters[name]
 	if !ok {
-		c := core.NewSharded()
-		h = &hosted{name: name, c: c, d: newDispatcher(c)}
+		h = &hosted{name: name, c: core.NewSharded()}
 		s.counters[name] = h
 	}
 	return h
@@ -197,16 +192,10 @@ func (s *Server) session(id uint64) (uint64, *session) {
 	return id, sess
 }
 
-// tryReset zeroes the hosted counter, or explains why not: pending
-// remote waits (the wire analogue of the in-process "Reset with
-// goroutines suspended" panic) or a dispatcher still retiring.
+// tryReset zeroes the hosted counter, or explains why not: an armed
+// sentinel counts as a suspended waiter, so parked remote waits trip
+// the engine's Reset misuse panic, reported here as an error.
 func (h *hosted) tryReset() (err error) {
-	if n := h.d.pending(); n > 0 {
-		return fmt.Errorf("counter %q: cannot Reset: %d waits suspended", h.name, n)
-	}
-	if !h.d.idle() {
-		return fmt.Errorf("counter %q: cannot Reset: dispatcher retiring, retry", h.name)
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("counter %q: %v", h.name, p)
@@ -236,14 +225,11 @@ type conn struct {
 	// on frame-handling paths, so it needs no lock.
 	version uint64
 
-	// waits indexes this connection's unresolved waiters by client-
-	// chosen id; predWaits does the same for parked OpWaitFor predicate
-	// registrations (predwait.go). Both guarded by waitMu; never hold
-	// waitMu while calling into a dispatcher (the dispatcher's drain
-	// path locks in the other order).
-	waitMu    sync.Mutex
-	waits     map[uint64]*waiter
-	predWaits map[uint64]*predWait
+	// waits indexes this connection's parked OpCheck and OpWaitFor
+	// registrations by client-chosen id (wait.go); nil once torn down.
+	// Guarded by waitMu, which is never held while arming or disarming.
+	waitMu sync.Mutex
+	waits  map[uint64]*wait
 
 	ackedSeq  uint64 // highest seq this conn has acked
 	unacked   int    // increments applied since the last ack
@@ -258,16 +244,6 @@ func (c *conn) send(f *wire.Frame) {
 		c.wcond.Signal()
 	}
 	c.wmu.Unlock()
-}
-
-// resolveWake delivers a satisfied wait to the client and forgets it.
-// Called by the dispatcher (which may hold its own lock — see the lock
-// ordering note on waits).
-func (c *conn) resolveWake(w *waiter) {
-	c.waitMu.Lock()
-	delete(c.waits, w.id)
-	c.waitMu.Unlock()
-	c.send(&wire.Frame{Op: wire.OpWake, ID: w.id, Level: w.level})
 }
 
 // writeLoop drains the frame queue into the socket, batching everything
@@ -386,35 +362,15 @@ func (c *conn) handle(f *wire.Frame) error {
 		if err != nil {
 			return err
 		}
-		w := &waiter{level: f.Level, id: f.ID, conn: c, host: h, idx: -1}
-		c.waitMu.Lock()
-		if _, dup := c.waits[f.ID]; dup {
-			c.waitMu.Unlock()
-			return fmt.Errorf("server: duplicate wait id %d", f.ID)
-		}
-		c.waits[f.ID] = w
-		c.waitMu.Unlock()
-		h.d.add(w)
-
-	case wire.OpCancel:
-		c.waitMu.Lock()
-		w := c.waits[f.ID]
-		c.waitMu.Unlock()
-		if w == nil {
-			return nil // already resolved; the wake frame answers the race
-		}
-		if w.host.d.remove(w) {
-			c.waitMu.Lock()
-			delete(c.waits, f.ID)
-			c.waitMu.Unlock()
-			c.send(&wire.Frame{Op: wire.OpCancelled, ID: f.ID})
-		}
+		level := f.Level
+		w := &wait{level: level, holds: func() bool { return level <= h.c.Value() }}
+		return c.park(f.ID, w, func(fn func()) (func() bool, bool) { return h.c.Sentinel(level, fn) })
 
 	case wire.OpWaitFor:
 		return c.handleWaitFor(f)
 
-	case wire.OpWaitForCancel:
-		return c.handleWaitForCancel(f)
+	case wire.OpCancel, wire.OpWaitForCancel:
+		c.cancelWait(f.ID)
 
 	case wire.OpReset:
 		h, err := c.hosted(f.Name)
@@ -474,8 +430,8 @@ func apply(h *hosted, amount uint64) (err error) {
 
 // teardown closes the connection once: the socket (unblocking the
 // reader), the write queue (retiring the writer), and every pending
-// wait this connection registered (so dispatcher heaps hold no dead
-// entries).
+// wait this connection registered (so no sentinel outlives its
+// connection).
 func (c *conn) teardown() {
 	c.closeOnce.Do(func() {
 		c.nc.Close()
@@ -483,17 +439,7 @@ func (c *conn) teardown() {
 		c.wclosed = true
 		c.wcond.Signal()
 		c.wmu.Unlock()
-		c.waitMu.Lock()
-		pending := make([]*waiter, 0, len(c.waits))
-		for _, w := range c.waits {
-			pending = append(pending, w)
-		}
-		c.waits = make(map[uint64]*waiter)
-		c.waitMu.Unlock()
-		for _, w := range pending {
-			w.host.d.remove(w)
-		}
-		c.dropPredWaits()
+		c.dropWaits()
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
 		c.srv.mu.Unlock()
