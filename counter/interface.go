@@ -67,8 +67,8 @@ func Impls() []string {
 
 // Open returns a fresh counter of the named in-process implementation —
 // "list" and "sharded" are the tuned designs also available as Counter
-// and Sharded, "fc" adds a flat-combining path for increment-contended
-// use; the rest are the ablation designs the experiments compare. Every returned counter also implements StatsProvider (so
+// and Sharded; the rest are the ablation designs the experiments
+// compare. Every returned counter also implements StatsProvider (so
 // Publish works on it) and accepts SetProbe where the implementation
 // has an engine-side hook. Unknown names return an error listing the
 // valid ones.
@@ -88,8 +88,6 @@ func Open(impl string) (Interface, error) {
 		return new(facade[core.AtomicCounter, *core.AtomicCounter]), nil
 	case core.ImplSpin:
 		return new(facade[core.SpinCounter, *core.SpinCounter]), nil
-	case core.ImplFC:
-		return new(facade[core.FCCounter, *core.FCCounter]), nil
 	}
 	return nil, fmt.Errorf("counter: unknown implementation %q (have %s)",
 		impl, strings.Join(Impls(), ", "))

@@ -1,6 +1,7 @@
 package counter_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -69,15 +70,20 @@ func TestOpenStatsProvider(t *testing.T) {
 }
 
 // TestOpenUnknown pins the error contract: unknown names fail with a
-// message listing what would have worked.
+// message listing exactly what would have worked. The retired fc
+// design is an unknown name too.
 func TestOpenUnknown(t *testing.T) {
-	_, err := counter.Open("nonesuch")
-	if err == nil {
-		t.Fatal("Open(nonesuch) succeeded")
+	want := "list, heap, chan, broadcast, atomic, spin, sharded"
+	if got := strings.Join(counter.Impls(), ", "); got != want {
+		t.Fatalf("Impls() = %s, want %s", got, want)
 	}
-	for _, name := range counter.Impls() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("Open error %q does not list implementation %q", err, name)
+	for _, name := range []string{"nonesuch", "fc"} {
+		c, err := counter.Open(name)
+		if err == nil {
+			t.Fatalf("Open(%q) succeeded with %T", name, c)
+		}
+		if msg := fmt.Sprintf("counter: unknown implementation %q (have %s)", name, want); err.Error() != msg {
+			t.Errorf("Open(%q) error = %q, want %q", name, err, msg)
 		}
 	}
 }

@@ -45,11 +45,13 @@ type Stats struct {
 	// Increments counts value-changing Increment calls (Increment(0) is
 	// a no-op and is not counted).
 	Increments uint64
-	// FastPathIncrements counts increments absorbed by Sharded's
-	// lock-free striped fast path; always included in Increments. Zero
-	// for Counter.
+	// FastPathIncrements counts increments absorbed by the sharded
+	// design's lock-free striped fast path (Sharded, and every counter
+	// counterd hosts); always included in Increments. Zero for every
+	// other implementation.
 	FastPathIncrements uint64
-	// Flushes counts Sharded's stripe-flush passes. Zero for Counter.
+	// Flushes counts the sharded design's stripe-flush passes. Zero for
+	// every other implementation.
 	Flushes uint64
 	// RemoteRoundTrips counts completed wire exchanges a remote counter
 	// performed on the caller's behalf: resolved waits (wakes and

@@ -35,6 +35,11 @@
 //     thundering-herd design the paper's cost analysis argues against).
 //   - AtomicCounter: the list design with a lock-free fast path for Check
 //     calls whose level is already satisfied.
+//   - SpinCounter: the atomic design with a bounded yield-spin phase
+//     before a Check suspends.
+//   - ShardedCounter: the atomic design plus striped increment cells that
+//     absorb increments lock-free while no waiter is registered; the
+//     design the counter server hosts for every name.
 //
 // All implementations share identical blocking semantics; the test suite
 // checks them against a single sequential model. The condition-variable

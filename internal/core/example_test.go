@@ -66,5 +66,4 @@ func ExampleNewImpl() {
 	// atomic 3
 	// spin 3
 	// sharded 3
-	// fc 3
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Every trajectory point through BENCH_5 was recorded at GOMAXPROCS=1,
@@ -11,7 +14,7 @@ import (
 // wrappers rerun the scheduling-sensitive suites at GOMAXPROCS=4 —
 // oversubscribed on a small host, which is exactly what forces
 // preemption inside critical sections — so the race detector sees the
-// wake and combining protocols under real interleaving. CI runs the
+// wake and gate protocols under real interleaving. CI runs the
 // whole core package again with GOMAXPROCS=4 in the environment; these
 // wrappers keep the coverage on any host, whatever the environment says.
 
@@ -34,8 +37,7 @@ func TestWakeStormExactResumesGOMAXPROCS4(t *testing.T) {
 
 // TestStressRandomizedOpsGOMAXPROCS4 reruns the randomized conformance
 // stress mix with four Ps, which is what makes the sharded gate's
-// raise/flush/divert dance and the flat-combining claim/fold protocol
-// actually race.
+// raise/flush/divert dance actually race.
 func TestStressRandomizedOpsGOMAXPROCS4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -84,4 +86,58 @@ func TestStatsConsistentDuringWakeStormGOMAXPROCS4(t *testing.T) {
 func TestCheckIncrementRaceAcrossStripesGOMAXPROCS4(t *testing.T) {
 	withGOMAXPROCS(t, 4)
 	runCheckIncrementRaceAcrossStripes(t)
+}
+
+// TestStripeCountCapturedOnce is the regression test for the
+// stripe-count capture bug: the shard cells and the striped stats cells
+// used to size themselves from runtime.GOMAXPROCS(0) at whichever
+// moment each was first touched, so a GOMAXPROCS change between those
+// moments produced arrays that disagreed about the stripe space. The
+// count must now be captured once per counter; raising and lowering
+// GOMAXPROCS mid-run must neither index out of range nor lose counts.
+func TestStripeCountCapturedOnce(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
+	for _, impl := range []Impl{ImplSharded, ImplAtomic} {
+		t.Run(string(impl), func(t *testing.T) {
+			runtime.GOMAXPROCS(2)
+			c := NewImpl(impl)
+			var total atomic.Uint64
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						c.Increment(1)
+						total.Add(1)
+						c.Check(1) // exercise the striped fast-check cells too
+					}
+				}()
+			}
+			// Thrash the proc count while the stripes are in use: any
+			// array sized from a fresh GOMAXPROCS read instead of the
+			// captured count would change length under the workers.
+			for _, n := range []int{8, 1, 4, 2, 16, 1} {
+				runtime.GOMAXPROCS(n)
+				time.Sleep(2 * time.Millisecond)
+			}
+			close(stop)
+			wg.Wait()
+			if got, want := c.Value(), total.Load(); got != want {
+				t.Fatalf("Value() = %d, want %d: counts lost across GOMAXPROCS changes", got, want)
+			}
+			sp := c.(StatsProvider)
+			if s := sp.Stats(); s.Increments != total.Load() {
+				t.Fatalf("Increments = %d, want %d", s.Increments, total.Load())
+			}
+		})
+	}
 }

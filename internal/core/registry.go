@@ -13,11 +13,10 @@ const (
 	ImplAtomic    Impl = "atomic"    // list design + lock-free fast path
 	ImplSpin      Impl = "spin"      // spin-then-block hybrid over the atomic design
 	ImplSharded   Impl = "sharded"   // waiter-gated striped increment fast path
-	ImplFC        Impl = "fc"        // flat-combining contended increment path
 )
 
 // Impls lists every implementation, reference design first.
-var Impls = []Impl{ImplList, ImplHeap, ImplChan, ImplBroadcast, ImplAtomic, ImplSpin, ImplSharded, ImplFC}
+var Impls = []Impl{ImplList, ImplHeap, ImplChan, ImplBroadcast, ImplAtomic, ImplSpin, ImplSharded}
 
 // Registry returns the implementations every conformance, fuzz,
 // cancellation, and stress suite must cover. Test code iterates this
@@ -46,8 +45,6 @@ func NewImpl(impl Impl) Interface {
 		return NewSpin()
 	case ImplSharded:
 		return NewSharded()
-	case ImplFC:
-		return NewFC()
 	}
 	panic("core: unknown counter implementation " + string(impl))
 }
@@ -63,7 +60,6 @@ var (
 	_ StatsProvider = (*AtomicCounter)(nil)
 	_ StatsProvider = (*SpinCounter)(nil)
 	_ StatsProvider = (*ShardedCounter)(nil)
-	_ StatsProvider = (*FCCounter)(nil)
 
 	_ ProbeSetter = (*Counter)(nil)
 	_ ProbeSetter = (*HeapCounter)(nil)
@@ -71,7 +67,6 @@ var (
 	_ ProbeSetter = (*AtomicCounter)(nil)
 	_ ProbeSetter = (*SpinCounter)(nil)
 	_ ProbeSetter = (*ShardedCounter)(nil)
-	_ ProbeSetter = (*FCCounter)(nil)
 
 	// Every registry implementation supports sentinel hooks (the
 	// predicate layer's registration surface; see sentinel.go).
@@ -82,7 +77,6 @@ var (
 	_ Sentineler = (*AtomicCounter)(nil)
 	_ Sentineler = (*SpinCounter)(nil)
 	_ Sentineler = (*ShardedCounter)(nil)
-	_ Sentineler = (*FCCounter)(nil)
 
 	// Every registry implementation reports mutex acquisitions for the
 	// E25 zero-lock assertion (see LockCounter in stats.go).
@@ -93,5 +87,4 @@ var (
 	_ LockCounter = (*AtomicCounter)(nil)
 	_ LockCounter = (*SpinCounter)(nil)
 	_ LockCounter = (*ShardedCounter)(nil)
-	_ LockCounter = (*FCCounter)(nil)
 )

@@ -239,26 +239,6 @@ func (c *ShardedCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
 	}, true
 }
 
-// Sentinel implements Sentineler on the flat-combining design. Like
-// Check's slow path it opportunistically folds pending rival deltas
-// first — they may already satisfy the level — then registers on the
-// level's stripe; the stripe re-read keeps the not-armed result
-// accurate at registration time.
-func (c *FCCounter) Sentinel(level uint64, fn func()) (func() bool, bool) {
-	if level <= c.value.Load() {
-		return nil, false
-	}
-	c.foldPending()
-	if level <= c.value.Load() {
-		return nil, false
-	}
-	n, done := c.idx.register(&c.wl, level, &c.value, false)
-	if done {
-		return nil, false
-	}
-	return c.wl.armSentinel(nil, n, fn)
-}
-
 // Sentinel implements Sentineler on the engineless chan design: the
 // hook parks a goroutine on the level's gate, the one implementation
 // where a sentinel costs a goroutine rather than a list node — the same

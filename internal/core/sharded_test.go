@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,5 +235,30 @@ func TestShardedZeroValueReady(t *testing.T) {
 	c.Reset()
 	if got := c.Value(); got != 0 {
 		t.Fatalf("Value() after Reset = %d", got)
+	}
+}
+
+// TestShardedStatsCellsSizedWithShards pins the capture point: after the
+// shard array exists, the fast-check stats cells must exist with the
+// same length, whatever GOMAXPROCS says now.
+func TestShardedStatsCellsSizedWithShards(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
+	runtime.GOMAXPROCS(4)
+	c := NewSharded()
+	c.Increment(1) // allocates the shard cells, and with them the stats cells
+	runtime.GOMAXPROCS(1)
+
+	shards := c.shards.Load()
+	stats := c.fastChecks.cells.Load()
+	if shards == nil || stats == nil {
+		t.Fatalf("arrays not co-allocated: shards=%v statsCells=%v", shards != nil, stats != nil)
+	}
+	if len(*shards) != len(*stats) {
+		t.Fatalf("shard cells (%d) and stats cells (%d) disagree about the stripe count", len(*shards), len(*stats))
+	}
+	if len(*shards) != 4 {
+		t.Fatalf("stripe count = %d, want the captured 4, not the current GOMAXPROCS", len(*shards))
 	}
 }

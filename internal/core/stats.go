@@ -65,14 +65,14 @@ type Stats struct {
 	// SpinRounds counts yield-spin probes made before suspending
 	// (SpinCounter only; zero elsewhere).
 	SpinRounds uint64
-	// FastPathIncrements counts increments that never queued on the
-	// engine mutex: absorbed by the lock-free striped fast path
-	// (ShardedCounter) or folded from flat-combining slots by a lock
-	// holder (FCCounter). Zero elsewhere; always included in Increments.
+	// FastPathIncrements counts increments absorbed by ShardedCounter's
+	// lock-free striped fast path, which never takes the engine mutex.
+	// Zero for every other implementation; always included in
+	// Increments.
 	FastPathIncrements uint64
-	// Flushes counts fold passes bringing out-of-lock increments into
-	// the published value: residue flushes (ShardedCounter) or
-	// combining drains that folded at least one delta (FCCounter).
+	// Flushes counts ShardedCounter's residue flushes, the passes that
+	// fold fast-path increments into the published value. Zero for
+	// every other implementation.
 	Flushes uint64
 }
 

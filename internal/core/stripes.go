@@ -83,7 +83,7 @@ type stripe struct {
 }
 
 // stripedList is the striped level index used by the scaling
-// implementations (AtomicCounter, ShardedCounter, FCCounter). The
+// implementations (AtomicCounter, SpinCounter, ShardedCounter). The
 // reference Counter and the index ablations (heap, broadcast) keep
 // their single engine-mutex index: they are the baselines the striping
 // is measured against, and the Figure 2 machinery (Inspect, Sim)

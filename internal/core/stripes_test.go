@@ -24,9 +24,6 @@ func TestCacheLinePadding(t *testing.T) {
 	if s := unsafe.Sizeof(shardCell{}); s != 2*line {
 		t.Errorf("shardCell size = %d, want %d (two cache lines)", s, 2*line)
 	}
-	if s := unsafe.Sizeof(fcSlot{}); s != 2*line {
-		t.Errorf("fcSlot size = %d, want %d (two cache lines)", s, 2*line)
-	}
 	if s := unsafe.Sizeof(paddedUint64{}); s != 2*line {
 		t.Errorf("paddedUint64 size = %d, want %d (two cache lines)", s, 2*line)
 	}
@@ -49,7 +46,6 @@ func TestCacheLinePadding(t *testing.T) {
 	for name, off := range map[string]uintptr{
 		"stripe.min":  unsafe.Offsetof(st.min),
 		"shardCell.v": unsafe.Offsetof(shardCell{}.v),
-		"fcSlot.v":    unsafe.Offsetof(fcSlot{}.v),
 		"padded.v":    unsafe.Offsetof(paddedUint64{}.v),
 	} {
 		if off%8 != 0 {
@@ -137,7 +133,7 @@ func runCheckIncrementRaceAcrossStripes(t *testing.T) {
 	if testing.Short() {
 		iters = 200
 	}
-	for _, impl := range []Impl{ImplAtomic, ImplSpin, ImplSharded, ImplFC} {
+	for _, impl := range []Impl{ImplAtomic, ImplSpin, ImplSharded} {
 		impl := impl
 		t.Run(string(impl), func(t *testing.T) {
 			t.Parallel()

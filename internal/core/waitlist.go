@@ -448,177 +448,6 @@ func (w *waitlist) busyLocked() bool {
 	return w.drainLive != 0
 }
 
-// --- Flat combining -------------------------------------------------
-//
-// fcSlots is a flat-combining publication array for the engine mutex:
-// an Increment that loses the race for the lock claims a slot, publishes
-// its delta there, and the current lock holder — the combiner — folds
-// every published delta into the value before it releases, doing the
-// rivals' work while it already owns the cache lines. The rivals never
-// enter the mutex's sleep queue, so a contended burst costs one lock
-// handoff instead of one scheduler round trip per increment. This is the
-// ActiveMonitor idea applied to the one operation of ours that is
-// commutative enough to delegate: increments of a monotonic value fold
-// in any order.
-//
-// The array is engine-level machinery but strictly opt-in: only an
-// implementation that routes its Increment through claim and the
-// collect/release fold (FCCounter, constructor NewFC) pays anything;
-// every other counter's paths are untouched.
-//
-// Claim protocol: a slot is free while zero. A publisher claims one with
-// a single CAS of the packed word amount<<fcTagBits|tag (tag: a nonzero
-// cycling disambiguator) and then spins — yielding, never blocking —
-// until either (a) the slot no longer holds its token, which means a
-// combiner swapped it to zero and folded the delta (slots are claimed
-// exclusively, so the first transition away from the token is that
-// swap), or (b) it wins TryLock and becomes a combiner itself, folding
-// whatever is still pending, its own delta included. The tag keeps two
-// claims of the same amount distinguishable; in the astronomically rare
-// cycle collision the publisher merely spins until it combines — safety
-// never depends on the tag.
-//
-// A publisher returns only after its delta is folded (by itself or a
-// combiner), so Increment keeps its synchronous contract: once it
-// returns, Value() and every satisfied waiter reflect the delta. That
-// contract is why the fold is two-phase: the combiner first reads every
-// claimed slot (collectLocked), stores the combined value, and only then
-// frees the slots (releaseLocked). Freeing a slot is the publisher's
-// signal to return, so it must happen strictly after the value store —
-// a single-pass swap-then-store fold would let a publisher return, read
-// Value(), and miss its own delta.
-type fcSlots struct {
-	// slots is allocated once, sized by the stripe count captured at
-	// first use (same capture discipline as ShardedCounter's cells).
-	slots atomic.Pointer[[]fcSlot]
-	// drained records, per slot, the token collectLocked read there (zero
-	// for a free slot), telling releaseLocked which slots the in-flight
-	// fold owns. Guarded by the engine mutex, like the fold itself.
-	drained []uint64
-}
-
-// fcSlot is one publication record, padded like a shard cell so
-// publishers on different slots never false-share.
-type fcSlot struct {
-	v atomic.Uint64 // amount<<fcTagBits|tag while claimed; 0 while free
-	_ [120]byte
-}
-
-const (
-	// fcTagBits is the width of the claim tag in a slot's packed word.
-	fcTagBits = 16
-	fcTagMask = 1<<fcTagBits - 1
-	// fcAmountCap bounds a publishable amount so the packed word cannot
-	// collide with the tag; larger amounts take the blocking locked path.
-	fcAmountCap = uint64(1) << 47
-)
-
-// fcTagSeq cycles claim tags process-wide; fcTag never returns zero, so
-// a claimed slot's word is never zero.
-var fcTagSeq atomic.Uint32
-
-func fcTag() uint64 {
-	for {
-		if t := uint64(fcTagSeq.Add(1)) & fcTagMask; t != 0 {
-			return t
-		}
-	}
-}
-
-// ensure returns the slot array, allocating it on first use. Called with
-// the engine mutex held (mirrors ShardedCounter.cells: the count is
-// captured exactly once per array, under the lock).
-func (f *fcSlots) ensureLocked(stripes int) *[]fcSlot {
-	if p := f.slots.Load(); p != nil {
-		return p
-	}
-	f.drained = make([]uint64, stripes)
-	s := make([]fcSlot, stripes)
-	f.slots.Store(&s)
-	return &s
-}
-
-// claim publishes amount into a free slot and returns the slot and its
-// token, or (nil, 0) when every probed slot is taken, the array is not
-// allocated yet, or the amount exceeds the packed cap — the caller then
-// falls back to the blocking locked path. Lock-free.
-func (f *fcSlots) claim(amount uint64) (*fcSlot, uint64) {
-	if amount >= fcAmountCap {
-		return nil, 0
-	}
-	p := f.slots.Load()
-	if p == nil {
-		return nil, 0
-	}
-	slots := *p
-	mask := uint64(len(slots) - 1)
-	token := amount<<fcTagBits | fcTag()
-	idx := stripeIndex(mask)
-	for probe := 0; probe < len(slots); probe++ {
-		s := &slots[(idx+uint64(probe))&mask]
-		if s.v.Load() == 0 && s.v.CompareAndSwap(0, token) {
-			return s, token
-		}
-	}
-	return nil, 0
-}
-
-// collectLocked is phase one of the two-phase fold: it reads every
-// claimed slot's token WITHOUT freeing it and returns the summed deltas
-// plus how many publications it collected, recording per slot what it
-// read so releaseLocked can free exactly those slots. The snapshot is
-// stable: a publisher writes a claimed slot exactly once (the free→token
-// CAS) and only a lock holder ever clears one, so while the engine mutex
-// is held every token read here stays put until phase two. A claim
-// published after its slot is read simply waits for the next lock holder
-// (or its publisher's own TryLock), which the claim protocol allows.
-//
-// The caller must store the combined value — and take any
-// overflow panic — BEFORE calling releaseLocked: freeing a slot is what
-// lets its spinning publisher return from Increment, so it must
-// happen-after the value store or a publisher could return while Value()
-// is still stale. Called with the engine mutex held. The sum cannot
-// wrap: each delta is below fcAmountCap (2^47) and the array holds at
-// most a few dozen slots.
-func (f *fcSlots) collectLocked() (sum uint64, count uint64) {
-	p := f.slots.Load()
-	if p == nil {
-		return 0, 0
-	}
-	for i := range *p {
-		// A plain load, no RMW: an empty slot stays a shared cache-line
-		// read, so the uncontended pass costs k loads, not k bus locks.
-		tok := (*p)[i].v.Load()
-		f.drained[i] = tok
-		if tok != 0 {
-			sum += tok >> fcTagBits
-			count++
-		}
-	}
-	return sum, count
-}
-
-// releaseLocked is phase two: it frees every slot collectLocked
-// recorded, publishing the fold to the spinning publishers. Called with
-// the engine mutex still held, after the combined value is stored. On an
-// overflow panic the caller skips this call, leaving the collected slots
-// claimed: the deltas are neither lost nor falsely acknowledged — each
-// publisher keeps spinning, eventually takes the lock itself, and hits
-// the same overflow panic instead of returning success for an increment
-// that never landed.
-func (f *fcSlots) releaseLocked() {
-	p := f.slots.Load()
-	if p == nil {
-		return
-	}
-	for i := range *p {
-		if f.drained[i] != 0 {
-			f.drained[i] = 0
-			(*p)[i].v.Store(0)
-		}
-	}
-}
-
 // listIndex is the sorted singly-linked list of the paper's section 7,
 // shared by Counter, AtomicCounter, and ShardedCounter: ascending by
 // level, never-satisfied nodes only — an increment moves its satisfied

@@ -58,26 +58,23 @@ func init() {
 			"experiment checks that the cost model is observable in production at negligible " +
 			"price: every implementation reports the same Stats schema, and the probe hook " +
 			"costs nothing measurable while disabled.",
-		Notes: "(BENCH_4.json; predates the fc design, which reports through the same schema.) " +
-			"Table 1 runs one fixed scenario against every registered implementation " +
-			"and prints their Stats verbatim: the six level-indexed designs agree on every " +
-			"engine-side field (peak 8, satisfied 8, suspends 64, immediate 3, increments 8), " +
-			"the chan design reports its 8 wake-ups as channel closes where the others report " +
-			"broadcasts, and the broadcast baseline's columns read in its own currency — one " +
-			"round node, one satisfied wake round for the whole storm — exactly the herd the " +
-			"section 7 design removes. Table 2: with the probe disabled (one atomic pointer " +
-			"load) the increment path costs 19ns on the locked designs, 25-26ns on " +
-			"atomic/spin, 12ns on the sharded fast path — and benchdiff against BENCH_3 " +
-			"(recorded before any of this instrumentation existed) shows every E19 " +
-			"increment-storm median within 5% except spin's +5.8%, at this host's run-to-run " +
-			"noise floor (a controlled A/B of BenchmarkIncrement between the two commits, " +
-			"min-of-10, puts every implementation within +-5% and the sharded fast path at " +
-			"parity: the packed residue+count cell makes the fast-path tallies ride the " +
-			"existing CAS). A counting probe adds ~7ns per event (1.3-1.4x). Table 3 prices a " +
-			"Stats() snapshot at 21-65ns: it takes the engine mutex once, so it is for scrape " +
-			"intervals, not inner loops. E20's fan-out rows in the same diff swing +-30% both " +
-			"directions between identical binaries — that table is scheduler-dominated whenever " +
-			"waiters outnumber real cores, as its own notes record.",
+		Notes: "Table 1 runs one fixed scenario against every registered implementation and prints " +
+			"their Stats verbatim: list, heap, atomic, spin and sharded agree on every " +
+			"engine-side field (peak 8, satisfied 8, suspends 64, immediate 3, increments 8, 8 " +
+			"broadcasts), the chan design reports its 8 wake-ups as channel closes where the " +
+			"others report broadcasts, and the broadcast baseline's columns read in its own " +
+			"currency — one round node, one satisfied wake round for the whole storm — exactly " +
+			"the herd the section 7 design removes. Table 2: with the probe disabled (one atomic " +
+			"pointer load) the increment path costs 29-41ns on the locked designs and " +
+			"atomic/spin, 15-16ns on the sharded fast path; a counting probe adds 3-11ns per " +
+			"event (1.1-1.7x). Table 3 prices a Stats() snapshot at 39-105ns, spin dearest " +
+			"at 93-105ns: the engine designs take " +
+			"the engine mutex once, so it is for scrape intervals, not inner loops. Cells in " +
+			"Tables 2 and 3 move by 10-30% between same-day runs of identical binaries on a " +
+			"shared 2-CPU host, so only larger differences are signal. The instrumentation's own " +
+			"cost was priced when it landed (BENCH_4.json against BENCH_3.json): every E19 " +
+			"increment-storm median within 6%, at that host's run-to-run noise floor, and the " +
+			"packed residue+count cell lets the sharded fast-path tallies ride the existing CAS.",
 		Run: func(cfg Config) []*harness.Table {
 			waiters, levels := 64, 8
 			incIters, reps := 200000, 9

@@ -124,19 +124,20 @@ func init() {
 			"Check/CheckContext/WaitTimeout batch with zero probe-counted mutex acquisitions — " +
 			"engine and stripe mutexes both — and ImmediateChecks counts exactly one per call, so " +
 			"the lock-free path is invisible in the cost model, not just cheap. Registration " +
-			"throughput compares the striped level index (NewAtomic) against a single-index engine " +
-			"(NewAtomicStripes(1)) at 1, 2, and 4 Ps, best-of-N fresh-counter trials; the asserted " +
-			"bound at 4 Ps is the collapse floor (striped >= 0.70x single-index) because this host " +
-			"has one CPU — the sweep shape, not a speedup, is the reproducible claim here, and " +
-			"BENCH_8.json carries the full-size numbers. The trade is priced honestly: " +
-			"publishing the watermark costs the mutex-based impls one seq-cst store per " +
-			"Increment (a same-day min-of-10 BenchmarkIncrement A/B put list/heap/broadcast " +
-			"at ~16→~24ns; chan ~17→~20ns), while the write-optimized paths hold their " +
-			"ground (sharded -2%, fc +2%, atomic +8% from the stripe-minimum sweep) and the " +
-			"satisfied-Check side drops ~57% (E11's 1e6-satisfied-check table, ~18→~8ns per " +
-			"call on list/heap/chan/broadcast). Counter patterns are Check-heavy, so the " +
-			"read side is the right side to buy; write-heavy workloads were already routed " +
-			"to sharded, which is unregressed.",
+			"throughput compares the striped level index (NewAtomic) against a single-index " +
+			"engine (NewAtomicStripes(1)) at 1, 2, and 4 Ps, best-of-N fresh-counter trials; the " +
+			"asserted bound at 4 Ps is the collapse floor (striped >= 0.70x single-index), which " +
+			"a 1-CPU CI runner can assert deterministically. On a 2-CPU host three same-day " +
+			"sweeps (this one and the two in BENCH_11.json) put the striped index at 0.99-1.06x " +
+			"of the single index at 1 P, 0.94-1.23x at 2 Ps and 1.15-1.39x at 4 Ps; BENCH_8.json " +
+			"holds the 1-CPU recording. The trade is priced honestly: publishing the watermark " +
+			"costs the mutex-based impls one seq-cst store per Increment (a same-day min-of-10 " +
+			"BenchmarkIncrement A/B put list/heap/broadcast at ~16→~24ns; chan ~17→~20ns), while " +
+			"the write-optimized paths hold their ground (sharded -2%, atomic +8% from the " +
+			"stripe-minimum sweep) and the satisfied-Check side drops ~57% (E11's " +
+			"1e6-satisfied-check table, ~18→~8ns per call on list/heap/chan/broadcast). Counter " +
+			"patterns are Check-heavy, so the read side is the right side to buy; write-heavy " +
+			"workloads were already routed to sharded, which is unregressed.",
 		Run: func(cfg Config) []*harness.Table {
 			checkOps, regOps, trials := 5000, 20000, 10
 			if cfg.Quick {

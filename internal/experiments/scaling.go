@@ -12,49 +12,29 @@ import (
 // E23: the GOMAXPROCS scaling matrix. E19 prices the contended increment
 // storm at one proc count; this experiment sweeps the same storm across
 // GOMAXPROCS ∈ {1, 2, 4} inside a single run, so one table carries each
-// implementation's whole scaling curve and the flat-combining design can
-// be judged on the regime it exists for — rival incrementers colliding
-// on the engine mutex. The counterbench -procs sweep produces the same
-// curves for every experiment; this one embeds the sweep so a plain
-// single-proc -md run still records it.
+// implementation's whole scaling curve. The counterbench -procs sweep
+// produces the same curves for every experiment; this one embeds the
+// sweep so a plain single-proc -md run still records it.
 func init() {
 	register(Experiment{
 		ID:    "E23",
 		Title: "GOMAXPROCS scaling: contended increment storm across proc counts",
 		Paper: "Not in the paper: the section 7 cost model is sequential. Every locked design " +
 			"serializes Increment, so adding procs can only add mutex convoying; the sharded " +
-			"design shards the update away, and the fc design keeps one value but lets the " +
-			"current lock holder fold rival increments published in per-proc combining slots, " +
-			"so a blocked rival costs one slot CAS instead of a scheduler round trip through " +
-			"the mutex queue.",
-		Notes: "Read each row left to right as a scaling curve; the last column is the " +
-			"p=4-to-p=1 slowdown (cmd/benchdiff compares these curves between reports). On " +
-			"the recording box — one real CPU — the matrix measures oversubscription, and " +
-			"the honest result is that flat combining cannot show its win here: sharded " +
-			"stays flattest (disjoint stripes), the blocking designs stay within ~1.1-2x " +
-			"because parked rivals self-serialize into long uncontended runs, fc's curve sits " +
-			"at the flat end of that band (its bounded publisher spin parks before burning a " +
-			"timeslice), and the " +
-			"share table reads ~0%: a publisher only exists while the lock HOLDER is " +
-			"preempted mid-critical-section, which async preemption produces about once per " +
-			"10ms on one core, so folds are vanishingly rare. A CPU profile of the p=4 " +
-			"storm confirms it — the samples are sync.Mutex lock/unlock plus scheduler work " +
-			"(runtime.casgstatus, runtime.schedule); the combining drain never gets hot. " +
-			"What fc pays meanwhile is its constant overhead: BenchmarkIncrement puts the " +
-			"uncontended locked path at ~27ns vs atomic's ~22ns (the slot-drain load and " +
-			"combining tallies; it was 44ns until the steady-state path stopped calling " +
-			"runtime.GOMAXPROCS, whose scheduler lock doubled every increment). Combining " +
-			"pays exactly when rivals collide with a RUNNING holder, which needs two or " +
-			"more real cores — on such a host the share moves off zero and this matrix is " +
-			"the regression gate for it; on this one, the GOMAXPROCS=4 race legs keep the " +
-			"claim/fold protocol correct while the curves gate the oversubscription cost. " +
-			"The publisher spin budget is tunable per counter via SetSpin(active, yields), " +
-			"re-tuned with BenchmarkFCSpinTune at -cpu 1,2,4 after the watermark/striping " +
-			"change (best-of-3 ns/op for active/yields configs 0/0, 8/2, 32/4, 128/8, " +
-			"512/16 — p=1: 24.81/24.73/24.50/24.46/26.06; p=2: 26.35/26.40/25.09/26.79/" +
-			"26.14; p=4: 28.84/28.46/28.78/28.81/28.36): all configs sit within host noise " +
-			"and the defaults (32, 4) stay — best at p=2, competitive elsewhere, and on one " +
-			"CPU a longer spin only burns the timeslice the holder needs.",
+			"design shards the update away.",
+		Notes: "Read each row left to right as a scaling curve; the last column is the p=4-to-p=1 " +
+			"slowdown (cmd/benchdiff compares these curves between reports). The recording host " +
+			"has two CPUs, so p=2 is real parallelism and p=4 is oversubscription. Every locked " +
+			"design, heap and spin included, slows as procs are added, 1.2-4.2x at p=4 across " +
+			"three same-day sweeps of this table (this one and the two in BENCH_11.json), because " +
+			"the rivals convoy on one engine mutex. sharded stays flat (0.8-1.2x): its increments " +
+			"land on disjoint stripes, and the share table shows every increment of the " +
+			"waiter-free storm bypassing the engine mutex at every proc count. The p=2 column is " +
+			"the noisiest on a shared host: a locked design's p=2 cell ranges from ~29ms to " +
+			"~135ms between those sweeps, so compare curves, not single cells. A flat-combining " +
+			"design that let the lock holder fold rivals' increments was measured here and " +
+			"removed: it folded 13-20% of increments at p=2 and p=4 yet stayed slower than list " +
+			"in every cell (DESIGN.md, S2).",
 		Run: func(cfg Config) []*harness.Table {
 			workers, perWorker, reps := 8, 100000, 5
 			if cfg.Quick {
@@ -92,19 +72,17 @@ func init() {
 
 			share := harness.NewTable(
 				"Mutex-avoidance share: increments that never queued on the engine mutex "+
-					"(sharded: stripes; fc: folded from combining slots)",
+					"(absorbed by the sharded stripes)",
 				append([]string{"implementation"}, headers[1:len(headers)-1]...)...)
-			for _, impl := range []core.Impl{core.ImplSharded, core.ImplFC} {
-				row := []string{string(impl)}
-				for _, p := range procs {
-					runtime.GOMAXPROCS(p)
-					c := core.NewImpl(impl)
-					incrementStorm(c, workers, perWorker)
-					s := c.(core.StatsProvider).Stats()
-					row = append(row, fmt.Sprintf("%.1f%%", 100*float64(s.FastPathIncrements)/float64(s.Increments)))
-				}
-				share.Add(row...)
+			row := []string{string(core.ImplSharded)}
+			for _, p := range procs {
+				runtime.GOMAXPROCS(p)
+				c := core.NewSharded()
+				incrementStorm(c, workers, perWorker)
+				s := c.Stats()
+				row = append(row, fmt.Sprintf("%.1f%%", 100*float64(s.FastPathIncrements)/float64(s.Increments)))
 			}
+			share.Add(row...)
 			return []*harness.Table{matrix, share}
 		},
 	})

@@ -50,13 +50,15 @@ func init() {
 			"increment path on \"are there waiters?\", paying the exact locked path only while " +
 			"someone waits.",
 		Notes: "With no waiters the sharded counter's increments are one CAS on a private cache " +
-			"line, so it leads every locked design at any proc count (no scheduler round trips), " +
-			"and the gap widens as GOMAXPROCS grows — the per-proc curves live in the " +
-			"counterbench/v2 sweep (BENCH_6.json) and E23. The fc design instead keeps the " +
-			"single value but lets the lock holder fold rivals' published deltas, trading " +
-			"sharded's flush cost for combining. With a waiter parked the gate forces the exact " +
+			"line, so it leads every locked design at any proc count (no scheduler round trips): " +
+			"~2.3-2.4x list at GOMAXPROCS=1 and ~5.2x on two real cores (BENCH_11.json, p=2), " +
+			"where the locked designs convoy on the engine mutex. E23 carries the per-proc " +
+			"curves. The heap and spin ablations track the list and atomic designs they modify " +
+			"(0.93-1.16x list at GOMAXPROCS=1). With a waiter parked the gate forces the exact " +
 			"locked path and sharded tracks the atomic/list cost — the fast path is bought only " +
-			"when its absence of waiters makes it safe.",
+			"when its absence of waiters makes it safe. The chan design is the outlier under a " +
+			"parked waiter (0.40-0.51x list): every increment with a live gate scans its gate " +
+			"map.",
 		Run: func(cfg Config) []*harness.Table {
 			workers, perWorker, reps := 8, 100000, 5
 			if cfg.Quick {
