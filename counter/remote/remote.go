@@ -142,6 +142,10 @@ type Client struct {
 	framesSent atomic.Uint64
 	framesRecv atomic.Uint64
 
+	// acked is the reader goroutine's scratch set of counters an
+	// OpIncAck covers, reused across acks.
+	acked map[*Counter]bool
+
 	wg sync.WaitGroup
 }
 
@@ -196,6 +200,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		specWaits: make(map[uint64]*specWait),
 		calls:     make(map[uint64]*call),
 		counters:  make(map[string]*Counter),
+		acked:     make(map[*Counter]bool),
 	}
 	cl.flushCond = sync.NewCond(&cl.mu)
 	for _, o := range opts {
@@ -517,7 +522,8 @@ func (cl *Client) dispatch(f *wire.Frame) {
 		// the cancel was sent; its confirmation needs no action here.
 	case wire.OpIncAck:
 		cl.mu.Lock()
-		acked := map[*Counter]bool{}
+		acked := cl.acked
+		clear(acked)
 		trimmed := cl.pending[:0]
 		for _, p := range cl.pending {
 			if p.seq <= f.Seq {

@@ -109,7 +109,9 @@ func init() {
 		Notes: "The server parks every remote wait as a one-shot sentinel on the hosted " +
 			"counter's own waitlist: per connection one reader and one writer goroutine, and " +
 			"none per busy counter or per wait — the satisfying Increment's goroutine queues " +
-			"the wakes. The goroutine columns assert the bound at run time — parking N waits " +
+			"the wakes and writes them when its read buffer drains, one non-blocking write per " +
+			"woken connection; the writer goroutine only finishes writes a full socket refused. " +
+			"The goroutine columns assert the bound at run time — parking N waits " +
 			"adds no goroutines (the experiment panics if the count with N waits parked exceeds " +
 			"the pre-registration baseline plus one of scheduler slack), so a fan-out's cost is frames on " +
 			"the wire, not goroutines in the server. RTT rows price the wire itself: a remote " +

@@ -71,9 +71,15 @@ func TestWaitForQuorumParksOneEntry(t *testing.T) {
 		t.Fatalf("PredicateWaits = %d, want 1 (one entry per session predicate)", n)
 	}
 
-	// One counter reaching its level does not flip a 2-of-3 quorum.
-	c.send(&wire.Frame{Op: wire.OpIncrement, Name: "q0", Seq: 1, Amount: 2})
-	c.recvOp(wire.OpIncAck)
+	// One counter reaching its level does not flip a 2-of-3 quorum. The
+	// Stats reply fences the increment: the server applied it first,
+	// and the ack it holds back while the wait is parked leaves with
+	// the reply.
+	c.send(
+		&wire.Frame{Op: wire.OpIncrement, Name: "q0", Seq: 1, Amount: 2},
+		&wire.Frame{Op: wire.OpStats, Name: "q0", ID: 1},
+	)
+	c.recvOp(wire.OpStatsReply)
 	if n := s.PredicateWaits(); n != 1 {
 		t.Fatalf("PredicateWaits after first arrival = %d, want 1", n)
 	}

@@ -8,9 +8,13 @@
 //
 //   - one reader goroutine per connection, parking any number of
 //     outstanding waits as one-shot callbacks on the hosted counters'
-//     own wake paths (wait.go) — never a goroutine per blocked wait;
-//   - one writer goroutine per connection, coalescing every queued
-//     frame (wakes, acks, replies) into batched flushes.
+//     own wake paths (wait.go) — never a goroutine per blocked wait —
+//     and writing what its batch queued: replies, acks, and the wakes
+//     its increments fired on any connection leave in one non-blocking
+//     write per connection when its read buffer drains (write.go);
+//   - one writer goroutine per connection that only absorbs
+//     backpressure: it finishes the writes a socket would not take, so
+//     a peer that stops reading stalls nobody else.
 //
 // A fan-out of N remote waiters on C connections therefore costs the
 // server 2C long-lived goroutines and none per counter, independent of
@@ -32,14 +36,16 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
+	"syscall"
 
 	"monotonic/internal/core"
 	"monotonic/internal/wire"
 )
 
 // ackEvery bounds how many increments a connection applies before the
-// server acknowledges even if the read buffer never drains, so a
-// client pipelining a long burst can trim its resend queue.
+// server acknowledges even if the read buffer never drains, or while an
+// ack waits for a wake to ride on (write.go), so a client pipelining a
+// long burst can trim its resend queue.
 const ackEvery = 1024
 
 // Server hosts named counters. The zero value is not usable; call New.
@@ -53,6 +59,11 @@ type Server struct {
 	lis      net.Listener
 	closed   bool
 	wg       sync.WaitGroup
+
+	// dmu guards dirty, the connections with frames queued since their
+	// last flush (write.go).
+	dmu   sync.Mutex
+	dirty []*conn
 }
 
 // hosted is one named counter.
@@ -115,9 +126,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			}
 			return err
 		}
-		c := &conn{srv: s, nc: nc}
-		c.wcond = sync.NewCond(&c.wmu)
-		c.waits = make(map[uint64]*wait)
+		c := s.newConn(nc)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -211,13 +220,32 @@ type conn struct {
 	nc   net.Conn
 	sess *session
 
-	// Write side: frames queue under wmu and the writer goroutine
-	// drains whatever has accumulated into one buffered write+flush, so
-	// a wake storm or an ack burst becomes a handful of TCP segments.
+	// Write side (write.go): frames queue in wq under wmu, and a flush
+	// swaps wq with spare instead of allocating. One goroutine at a
+	// time owns the socket's write side (writing) and writes until wq
+	// is empty, or hands what the socket would not take (rest from
+	// restOff on) to the writer goroutine.
 	wmu     sync.Mutex
 	wcond   *sync.Cond
 	wq      []byte
+	spare   []byte
+	rest    []byte
+	restOff int
+	writing bool
+	dirty   bool // listed in srv.dirty
 	wclosed bool
+	rc      syscall.RawConn // nil: every write goes through the writer goroutine
+
+	// The non-blocking write in flight (writeNow), owned with writing.
+	rawBuf []byte
+	rawN   int
+	rawFn  func(fd uintptr) bool
+
+	// ackedSeq is the highest increment seq acknowledged on the wire;
+	// owedAck, if nonzero, is a newer one whose OpIncAck rides ahead of
+	// the next frame queued (write.go). Both guarded by wmu.
+	ackedSeq uint64
+	owedAck  uint64
 
 	// version is the protocol dialect this connection negotiated at
 	// Hello — the client's version, anywhere in [wire.MinVersion,
@@ -231,49 +259,18 @@ type conn struct {
 	waitMu sync.Mutex
 	waits  map[uint64]*wait
 
-	ackedSeq  uint64 // highest seq this conn has acked
-	unacked   int    // increments applied since the last ack
+	unacked   int // increments applied since the reader last acked
 	closeOnce sync.Once
 }
 
-// send queues one frame for the writer goroutine.
-func (c *conn) send(f *wire.Frame) {
-	c.wmu.Lock()
-	if !c.wclosed {
-		c.wq = wire.Append(c.wq, f)
-		c.wcond.Signal()
+// newConn wraps an accepted socket.
+func (s *Server) newConn(nc net.Conn) *conn {
+	c := &conn{srv: s, nc: nc, waits: make(map[uint64]*wait)}
+	c.wcond = sync.NewCond(&c.wmu)
+	if sc, ok := nc.(syscall.Conn); ok {
+		c.rc, _ = sc.SyscallConn() // on error rc stays nil
 	}
-	c.wmu.Unlock()
-}
-
-// writeLoop drains the frame queue into the socket, batching everything
-// queued since the last flush into one write.
-func (c *conn) writeLoop() {
-	defer c.srv.wg.Done()
-	bw := bufio.NewWriter(c.nc)
-	for {
-		c.wmu.Lock()
-		for len(c.wq) == 0 && !c.wclosed {
-			c.wcond.Wait()
-		}
-		buf := c.wq
-		c.wq = nil
-		closed := c.wclosed
-		c.wmu.Unlock()
-		if len(buf) > 0 {
-			_, err := bw.Write(buf)
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
-				c.teardown()
-				return
-			}
-		}
-		if closed {
-			return
-		}
-	}
+	return c
 }
 
 // readLoop parses and executes frames until the connection dies or
@@ -282,7 +279,10 @@ func (c *conn) writeLoop() {
 func (c *conn) readLoop() {
 	defer c.srv.wg.Done()
 	defer c.teardown()
-	br := bufio.NewReader(c.nc)
+	// Frames a batch queued before a read error or a protocol error
+	// still leave, wakes for other connections included.
+	defer c.srv.flushDirty(nil)
+	br := bufio.NewReader(&drainReader{c: c})
 	for {
 		f, err := wire.Read(br)
 		if err != nil {
@@ -295,13 +295,7 @@ func (c *conn) readLoop() {
 		// ackEvery of them), so one flush carries one ack for a whole
 		// burst instead of an ack per increment.
 		if c.unacked > 0 && (br.Buffered() == 0 || c.unacked >= ackEvery) {
-			c.sess.mu.Lock()
-			seq := c.sess.lastSeq
-			c.sess.mu.Unlock()
-			if seq > c.ackedSeq {
-				c.ackedSeq = seq
-				c.send(&wire.Frame{Op: wire.OpIncAck, Seq: seq})
-			}
+			c.ack()
 			c.unacked = 0
 		}
 	}
@@ -329,7 +323,9 @@ func (c *conn) handle(f *wire.Frame) error {
 		sess.mu.Lock()
 		last := sess.lastSeq
 		sess.mu.Unlock()
+		c.wmu.Lock()
 		c.ackedSeq = last
+		c.wmu.Unlock()
 		var feat uint64
 		if c.version >= 3 {
 			feat = wire.FeatureWaitFor

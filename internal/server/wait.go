@@ -13,7 +13,8 @@ import (
 // and an OpWaitFor arms a predicate.Cond, whose sentinels sit at
 // pigeonhole frontiers on the same waitlists (predwait.go). The
 // callback runs on the satisfying increment's goroutine: it drops the
-// table entry and queues the wake, both leaf locks, and never blocks.
+// table entry and queues the wake, both leaf locks, and never blocks;
+// the reader that ran the increment writes the wake (write.go).
 
 // wait is one parked registration in a connection's wait table.
 type wait struct {
@@ -49,6 +50,9 @@ func (c *conn) park(id uint64, w *wait, arm armFunc) error {
 	wake := func() {
 		c.drop(id)
 		c.send(&wire.Frame{Op: wire.OpWake, ID: id, Level: w.level})
+		if w.pred {
+			c.flush() // a Cond may settle on a kick goroutine no reader follows
+		}
 	}
 	cancel, armed := arm(wake)
 	if !armed {

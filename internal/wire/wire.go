@@ -100,6 +100,9 @@ const (
 	// OpIncrement applies Amount to the named counter, deduplicated by
 	// the per-session Seq. No per-frame reply; the server acknowledges
 	// the highest applied Seq with OpIncAck when its read buffer drains.
+	// While the connection has a wait parked and nothing else to send,
+	// the ack may instead ride just ahead of the next frame the server
+	// sends it, owed for at most counterd's ackEvery (1024) increments.
 	OpIncrement Op = 0x02
 	// OpCheck registers a wait: the server replies OpWake{ID} once the
 	// named counter's value reaches Level. IDs are chosen by the client
@@ -150,7 +153,10 @@ const (
 	OpWake Op = 0x82
 	// OpCancelled resolves the wait with ID as cancelled.
 	OpCancelled Op = 0x83
-	// OpIncAck acknowledges every Increment with sequence <= Seq.
+	// OpIncAck acknowledges every Increment with sequence <= Seq. It
+	// may arrive just ahead of an unrelated frame (a wake, a reply) on
+	// which the server let it ride; how long it can be owed is bounded
+	// by 1024 increments, and by the parked wait's own wake.
 	OpIncAck Op = 0x84
 	// OpResetOK acknowledges a reset.
 	OpResetOK Op = 0x85
