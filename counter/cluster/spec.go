@@ -9,7 +9,7 @@ import (
 
 // Server-side predicate waits through the cluster. A Cluster is a
 // wait.SpecHost: when every counter a predicate watches hashes to the
-// SAME live member, the whole predicate is shipped there as one wire v3
+// SAME live member, the whole predicate is shipped there as one wire
 // OpWaitFor registration — one parked entry on that node, zero client
 // frames per increment that cannot flip it. Counters that shard across
 // members refuse the route and the predicate engine falls back to
@@ -97,7 +97,7 @@ type specSupervisor struct {
 
 // arm routes the spec and registers it with the home's client,
 // reporting false when no single live member hosts every counter (or
-// the home refuses — closed pool, feature lost).
+// the home's client refuses — closed or poisoned).
 func (s *specSupervisor) arm() bool {
 	cl := s.c.specClient(s.spec)
 	if cl == nil {

@@ -10,26 +10,26 @@ import (
 	"monotonic/counter/remote"
 	"monotonic/counter/wait"
 	"monotonic/internal/server"
-	"monotonic/internal/wire"
 )
 
-// RunWirePredicates executes the wire v3 predicate-wait conformance
-// battery: everything the protocol extension promises, measured at run
-// time against a loopback counterd started inside the test —
+// RunWirePredicates executes the wire predicate-wait conformance
+// battery: everything server-side predicate evaluation promises,
+// measured at run time against a loopback counterd started inside the
+// test —
 //
 //   - a k-of-n quorum parks exactly ONE wait entry on the server for
 //     the whole session predicate, not one per watched counter;
 //   - increments that cannot flip the predicate cost the waiting client
 //     ZERO frames in either direction (10^4 of them, counted);
-//   - a v2 client runs the full countertest battery against the same v3
-//     server unchanged — negotiation keeps old clients whole.
+//   - predicates whose counters span two sessions, which no one server
+//     entry can evaluate, pass the full predicate battery client-side.
 //
 // The battery is exported so every transport arrangement (single node,
 // cluster member) can assert the same bounds.
 func RunWirePredicates(t *testing.T) {
 	t.Helper()
 	t.Run("QuorumParksOneEntryZeroRTT", testQuorumParksOneEntryZeroRTT)
-	t.Run("V2ClientFullBattery", testV2ClientFullBattery)
+	t.Run("ClientSidePredicates", testClientSidePredicates)
 }
 
 // startLoopback boots a counterd on a loopback listener for the battery.
@@ -45,9 +45,9 @@ func startLoopback(t *testing.T) (*server.Server, string) {
 	return s, lis.Addr().String()
 }
 
-func dialLoopback(t *testing.T, addr string, opts ...remote.Option) *remote.Client {
+func dialLoopback(t *testing.T, addr string) *remote.Client {
 	t.Helper()
-	cl, err := remote.Dial(addr, opts...)
+	cl, err := remote.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,19 +127,17 @@ func testQuorumParksOneEntryZeroRTT(t *testing.T) {
 	}
 }
 
-func testV2ClientFullBattery(t *testing.T) {
+// testClientSidePredicates runs RunPredicates with consecutive counters
+// drawn from two Clients on one server: every predicate the battery
+// builds watches counters of both sessions, so no Client is their
+// common host and the combinators evaluate client-side over
+// per-counter waits.
+func testClientSidePredicates(t *testing.T) {
 	_, addr := startLoopback(t)
-	v2 := dialLoopback(t, addr, remote.WithProtocol(2))
-	v2.Counter(FreshName("v2probe")).Increment(1) // force the handshake
-	if f := v2.ServerFeatures(); f != 0 {
-		t.Fatalf("v2 session negotiated features %#x, want none", f)
-	}
-	open := func(t *testing.T) counter.Interface {
-		return v2.Counter(FreshName("v2batt"))
-	}
-	t.Run("Conformance", func(t *testing.T) { Run(t, open) })
-	t.Run("Predicates", func(t *testing.T) { RunPredicates(t, open) })
-	if f := v2.ServerFeatures(); f&wire.FeatureWaitFor != 0 {
-		t.Fatal("v2 session grew FeatureWaitFor mid-battery")
-	}
+	cls := [2]*remote.Client{dialLoopback(t, addr), dialLoopback(t, addr)}
+	n := 0
+	RunPredicates(t, func(t *testing.T) counter.Interface {
+		n++
+		return cls[n%2].Counter(FreshName("xclient"))
+	})
 }

@@ -41,6 +41,12 @@ import (
 // panic with it.
 var ErrClosed = errors.New("remote: client closed")
 
+// dialTimeout bounds the default dialer's connect and every handshake
+// (Hello written, Welcome read), so a server that accepts and never
+// answers fails the attempt instead of hanging Dial or the reconnect
+// loop.
+const dialTimeout = 5 * time.Second
+
 // Option configures Dial.
 type Option func(*Client)
 
@@ -49,19 +55,6 @@ type Option func(*Client)
 // it for TLS or unix sockets.
 func WithDialer(d func(addr string) (net.Conn, error)) Option {
 	return func(cl *Client) { cl.dial = d }
-}
-
-// WithProtocol pins the wire protocol version the client speaks, for
-// interop testing and conservative rollouts: WithProtocol(2) makes the
-// client indistinguishable from a pre-v3 build (no feature bits
-// requested, predicate waits evaluated client-side) even against a v3
-// server. v must be within [wire.MinVersion, wire.Version]; the default
-// is wire.Version.
-func WithProtocol(v uint64) Option {
-	if v < wire.MinVersion || v > wire.Version {
-		panic(fmt.Sprintf("remote: protocol version %d outside %d..%d", v, wire.MinVersion, wire.Version))
-	}
-	return func(cl *Client) { cl.proto = v }
 }
 
 // WithBackoff configures the reconnect schedule: the first retry after
@@ -110,7 +103,6 @@ func WithRestartNotify(fn func(oldEpoch, newEpoch uint64, unacked map[string]uin
 type Client struct {
 	addr          string
 	dial          func(addr string) (net.Conn, error)
-	proto         uint64  // wire version spoken at Hello (WithProtocol; default wire.Version)
 	boff          backoff // per-outage schedule template (copied by reconnect)
 	retryNotify   func(failures int, err error)
 	restartNotify func(oldEpoch, newEpoch uint64, unacked map[string]uint64)
@@ -126,7 +118,6 @@ type Client struct {
 	closed    bool
 	fatal     error  // latched increment-overflow error; poisons the client
 	epoch     uint64 // boot epoch of the server instance last welcomed by
-	features  uint64 // feature bits from the last Welcome (zero on v2 sessions)
 
 	session   uint64
 	nextSeq   uint64
@@ -191,9 +182,8 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	cl := &Client{
 		addr: addr,
 		dial: func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
+			return net.DialTimeout("tcp", addr, dialTimeout)
 		},
-		proto:     wire.Version,
 		boff:      backoff{base: defaultBackoffBase, cap: defaultBackoffCap},
 		closeCh:   make(chan struct{}),
 		waits:     make(map[uint64]*wait),
@@ -227,20 +217,10 @@ func (cl *Client) connect() error {
 	if err != nil {
 		return err
 	}
-	hello := wire.Append(nil, &wire.Frame{Op: wire.OpHello, Session: sess, Seq: cl.proto})
-	if _, err := nc.Write(hello); err != nil {
-		nc.Close()
-		return err
-	}
-	br := bufio.NewReader(nc)
-	welcome, err := wire.Read(br)
+	welcome, br, err := handshake(nc, sess)
 	if err != nil {
 		nc.Close()
 		return err
-	}
-	if welcome.Op != wire.OpWelcome {
-		nc.Close()
-		return fmt.Errorf("remote: handshake reply %s, want welcome", welcome.Op)
 	}
 
 	cl.mu.Lock()
@@ -259,7 +239,6 @@ func (cl *Client) connect() error {
 	// restart notification's job (the cluster layer replays its ledger).
 	oldEpoch := cl.epoch
 	cl.epoch = welcome.Epoch
-	cl.features = welcome.Features
 	restarted := oldEpoch != 0 && welcome.Epoch != oldEpoch
 
 	// Everything the server already applied can be forgotten; the rest
@@ -294,29 +273,38 @@ func (cl *Client) connect() error {
 		cl.enqueueLocked(&wire.Frame{Op: wire.OpCheck, Name: w.ctr.name, ID: w.id, Level: w.level})
 	}
 	// Predicate registrations replay like waits — the re-sent OpWaitFor
-	// is idempotent by monotonicity. If the reconnect landed on a server
-	// without the feature (downgrade across a failover), the
-	// registrations cannot be honoured: they degrade — fire(false) tells
-	// each predicate Cond to fall back to per-counter sentinels.
-	var degraded []*specWait
-	for id, sw := range cl.specWaits {
-		if cl.features&wire.FeatureWaitFor == 0 {
-			delete(cl.specWaits, id)
-			degraded = append(degraded, sw)
-			continue
-		}
+	// is idempotent by monotonicity.
+	for _, sw := range cl.specWaits {
 		cl.enqueueLocked(&sw.frame)
 	}
 	cl.mu.Unlock()
-	for _, sw := range degraded {
-		sw.fire(false)
-	}
 	if restarted && cl.restartNotify != nil {
 		// Out of the lock: the callback may call back into the client
 		// (TryIncrement to top counters up).
 		cl.restartNotify(oldEpoch, welcome.Epoch, unacked)
 	}
 	return nil
+}
+
+// handshake writes Hello on nc and reads the Welcome, within
+// dialTimeout. It returns the reader the session continues on.
+func handshake(nc net.Conn, sess uint64) (wire.Frame, *bufio.Reader, error) {
+	if err := nc.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
+		return wire.Frame{}, nil, err
+	}
+	hello := wire.Append(nil, &wire.Frame{Op: wire.OpHello, Session: sess, Seq: wire.Version})
+	if _, err := nc.Write(hello); err != nil {
+		return wire.Frame{}, nil, err
+	}
+	br := bufio.NewReader(nc)
+	welcome, err := wire.Read(br)
+	if err != nil {
+		return wire.Frame{}, nil, err
+	}
+	if welcome.Op != wire.OpWelcome {
+		return wire.Frame{}, nil, fmt.Errorf("remote: handshake reply %s, want welcome", welcome.Op)
+	}
+	return welcome, br, nc.SetDeadline(time.Time{})
 }
 
 // Epoch returns the boot epoch of the server instance the client last

@@ -706,3 +706,40 @@ func TestServerRestartDetected(t *testing.T) {
 	c2.Increment(1)
 	c2.Check(1)
 }
+
+// TestDialSilentServerTimesOut is the regression for the unbounded
+// handshake: a listener that accepts and never answers must fail Dial
+// within the handshake timeout, not block it (and with it the
+// reconnect loop) forever.
+func TestDialSilentServerTimesOut(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		for {
+			nc, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { nc.Close() })
+		}
+	}()
+	errc := make(chan error, 1)
+	go func() {
+		cl, err := remote.Dial(lis.Addr().String())
+		if err == nil {
+			cl.Close()
+		}
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("Dial to a silent server succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Dial to a silent server still blocked after 10s")
+	}
+}

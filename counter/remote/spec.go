@@ -5,16 +5,13 @@ import (
 	"monotonic/internal/wire"
 )
 
-// Server-side predicate waits (wire v3). A Client is a wait.SpecHost:
+// Server-side predicate waits. A Client is a wait.SpecHost:
 // counter/wait's combinators, seeing every watched counter nominate the
 // same Client, arm ONE OpWaitFor registration here instead of one
 // sentinel (one wire-level wait, re-sent per frontier move) per watched
 // counter. The server parks one predicate entry per registration and
 // answers with a single OpWake when the predicate flips — increments
 // that cannot flip it cost this client zero frames in either direction.
-// Against a v2 server (no FeatureWaitFor) ArmSpec refuses and the
-// predicate engine falls back to the per-counter watermark path
-// unchanged.
 
 // specWait is one outstanding OpWaitFor registration.
 type specWait struct {
@@ -55,14 +52,13 @@ func specFrame(spec cwait.Spec) (wire.Frame, bool) {
 
 // ArmSpec registers spec for server-side evaluation, making the Client
 // a wait.SpecHost. It refuses (ok = false) when the spec is not
-// wire-encodable, the negotiated session lacks FeatureWaitFor (v2
-// server, or the client was dialed WithProtocol(2)), or the client is
-// closed/poisoned — the caller then evaluates client-side. An accepted
-// registration survives reconnects: the frame is re-sent with the rest
-// of the session state, and monotonicity makes the re-send idempotent.
+// wire-encodable or the client is closed/poisoned — the caller then
+// evaluates client-side. An accepted registration survives reconnects:
+// the frame is re-sent with the rest of the session state, and
+// monotonicity makes the re-send idempotent.
 // fire(true) arrives when the server observes the predicate holding;
-// fire(false) when the registration can no longer be honoured (client
-// closed, or a reconnect landed on a server without the feature).
+// fire(false) when the registration can no longer be honoured (the
+// client closed).
 //
 // ArmSpec and the returned cancel are called under the predicate
 // engine's lock; both only take cl.mu and enqueue — no round trips.
@@ -73,7 +69,7 @@ func (cl *Client) ArmSpec(spec cwait.Spec, fire func(satisfied bool)) (cancel fu
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.closed || cl.fatal != nil || cl.features&wire.FeatureWaitFor == 0 {
+	if cl.closed || cl.fatal != nil {
 		return nil, false
 	}
 	cl.nextID++
@@ -93,17 +89,6 @@ func (cl *Client) ArmSpec(spec cwait.Spec, fire func(satisfied bool)) (cancel fu
 		cl.enqueueLocked(&wire.Frame{Op: wire.OpWaitForCancel, ID: sw.id})
 		return true
 	}, true
-}
-
-// ServerFeatures returns the feature bits the server advertised in the
-// last completed handshake — callers can observe whether predicate
-// waits run server-side (wire.FeatureWaitFor) or fall back to the
-// per-counter client path. Zero against a v2 server, with
-// WithProtocol(2), or before the first handshake.
-func (cl *Client) ServerFeatures() uint64 {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.features
 }
 
 // WireStats reports the total frames this client has enqueued to and

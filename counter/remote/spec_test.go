@@ -11,7 +11,6 @@ import (
 	"monotonic/counter/remote"
 	"monotonic/counter/wait"
 	"monotonic/internal/server"
-	"monotonic/internal/wire"
 )
 
 // startServerS is startServer returning the server too, for tests that
@@ -39,32 +38,12 @@ func waitPredWaits(t *testing.T, s *server.Server, want int) {
 	}
 }
 
-// TestWirePredicates runs the exported wire v3 predicate battery: one
+// TestWirePredicates runs the exported wire predicate battery: one
 // parked entry per session quorum, zero waiter frames per non-flipping
-// increment, and a v2 client passing the full battery against this
-// server.
+// increment, and the predicate battery evaluated client-side over
+// counters split across two sessions.
 func TestWirePredicates(t *testing.T) {
 	countertest.RunWirePredicates(t)
-}
-
-func TestServerFeatures(t *testing.T) {
-	addr := startServer(t)
-
-	v3 := dialClient(t, addr)
-	v3.Counter(countertest.FreshName("feat")).Increment(1) // force a handshake
-	if f := v3.ServerFeatures(); f&wire.FeatureWaitFor == 0 {
-		t.Fatalf("v3 ServerFeatures = %#x, want FeatureWaitFor set", f)
-	}
-
-	v2, err := remote.Dial(addr, remote.WithProtocol(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { v2.Close() })
-	v2.Counter(countertest.FreshName("feat")).Increment(1)
-	if f := v2.ServerFeatures(); f != 0 {
-		t.Fatalf("v2 ServerFeatures = %#x, want 0", f)
-	}
 }
 
 // TestSpecWaitRoutesServerSide pins the tentpole: a predicate over two
@@ -116,28 +95,26 @@ func TestSpecWaitRoutesServerSide(t *testing.T) {
 	}
 }
 
-// TestSpecWaitV2FallsBack dials WithProtocol(2): the same combinator
-// must still work, evaluated client-side over per-counter waits.
-func TestSpecWaitV2FallsBack(t *testing.T) {
+// TestSpecWaitCrossClientFallsBack builds a combinator over counters
+// from two Clients on one server: no single session hosts both, so it
+// must not route server-side and still works client-side over
+// per-counter waits.
+func TestSpecWaitCrossClientFallsBack(t *testing.T) {
 	s, addr := startServerS(t)
-	cl, err := remote.Dial(addr, remote.WithProtocol(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	cl, peer := dialClient(t, addr), dialClient(t, addr)
 	other := dialClient(t, addr)
 
-	na, nb := countertest.FreshName("v2"), countertest.FreshName("v2")
-	cond := wait.KOfN([]counter.Interface{cl.Counter(na), cl.Counter(nb)}, 2, 3)
+	na, nb := countertest.FreshName("xc"), countertest.FreshName("xc")
+	cond := wait.KOfN([]counter.Interface{cl.Counter(na), peer.Counter(nb)}, 2, 3)
 
 	errc := make(chan error, 1)
 	go func() { errc <- cond.Wait(context.Background()) }()
 	time.Sleep(30 * time.Millisecond)
 	if st := cond.Stats(); st.External {
-		t.Fatalf("stats = %+v: v2 session must not route server-side", st)
+		t.Fatalf("stats = %+v: a cross-session predicate must not route server-side", st)
 	}
 	if n := s.PredicateWaits(); n != 0 {
-		t.Fatalf("PredicateWaits = %d, want 0 for a v2 session", n)
+		t.Fatalf("PredicateWaits = %d, want 0 for a cross-session predicate", n)
 	}
 	other.Counter(na).Increment(3)
 	other.Counter(nb).Increment(3)
@@ -147,7 +124,7 @@ func TestSpecWaitV2FallsBack(t *testing.T) {
 			t.Fatalf("Wait = %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("v2 fallback predicate wait never released")
+		t.Fatal("cross-session fallback predicate wait never released")
 	}
 }
 

@@ -111,49 +111,62 @@ func quorumSessions(s *server.Server, addr string, sessions, churn int) (entries
 	return entries, waiterFrames, time.Since(start)
 }
 
-// sumWireCost measures the waiter's frame bill for one sum predicate as
-// a second client walks the sum toward the target: under wire v3 the
-// predicate evaluates server-side (the walk costs the waiter nothing);
-// under v2 every frontier crossing fires a sentinel whose wire-level
-// wait the client must re-park. Returns frames paid during the walk,
+// sumWireCost measures the waiters' frame bill for one sum predicate
+// as a separate client walks the sum toward the target. With sessions
+// == 1 both watched counters come from one waiter Client, the common
+// host, so the predicate evaluates server-side and the walk costs the
+// waiter nothing. With sessions == 2 each counter comes from its own
+// waiter Client on the same node: no common host exists, so every
+// frontier crossing fires a client sentinel whose wire-level wait must
+// re-park. Returns the frames all waiters paid during the walk, their
 // frames for the whole arm-to-wake lifecycle, and the release latency.
-func sumWireCost(addr string, proto uint64, target, step uint64) (walkFrames, totalFrames uint64, release time.Duration) {
-	waiter, err := remote.Dial(addr, remote.WithProtocol(proto))
-	if err != nil {
-		panic("E27: " + err.Error())
+func sumWireCost(addr string, sessions int, target, step uint64) (walkFrames, totalFrames uint64, release time.Duration) {
+	waiters := make([]*remote.Client, sessions)
+	for i := range waiters {
+		cl, err := remote.Dial(addr)
+		if err != nil {
+			panic("E27: " + err.Error())
+		}
+		defer cl.Close()
+		waiters[i] = cl
 	}
-	defer waiter.Close()
+	frames := func() (n uint64) {
+		for _, cl := range waiters {
+			sent, recv := cl.WireStats()
+			n += sent + recv
+		}
+		return n
+	}
 	inc, err := remote.Dial(addr)
 	if err != nil {
 		panic("E27: " + err.Error())
 	}
 	defer inc.Close()
 
-	na := fmt.Sprintf("e27-s%d-%d-a", proto, time.Now().UnixNano())
-	nb := fmt.Sprintf("e27-s%d-%d-b", proto, time.Now().UnixNano())
-	base, baseRecv := waiter.WireStats()
+	na := fmt.Sprintf("e27-s%d-%d-a", sessions, time.Now().UnixNano())
+	nb := fmt.Sprintf("e27-s%d-%d-b", sessions, time.Now().UnixNano())
+	base := frames()
 
-	cond := wait.Sum(waiter.Counter(na), waiter.Counter(nb)).AtLeast(target)
+	cond := wait.Sum(waiters[0].Counter(na), waiters[sessions-1].Counter(nb)).AtLeast(target)
 	done := make(chan struct{})
 	go func() {
 		_ = cond.Wait(context.Background())
 		close(done)
 	}()
-	// Let the registration (v3: one frame; v2: per-counter waits) land.
+	// Let the registration (one OpWaitFor, or per-counter waits) land.
 	settle(1)
 	time.Sleep(50 * time.Millisecond)
 
-	s0, r0 := waiter.WireStats()
+	f0 := frames()
 	a := inc.Counter(na)
 	for v := step; v < target; v += step {
 		a.Increment(step)
 	}
 	a.Check(target - step) // fence: the walk is fully applied
 	time.Sleep(50 * time.Millisecond)
-	s1, r1 := waiter.WireStats()
-	walkFrames = (s1 - s0) + (r1 - r0)
-	if proto >= 3 && walkFrames != 0 {
-		panic(fmt.Sprintf("experiments: E27 v3 walk bound violated: %d waiter frames while the sum walked to target-%d (want 0)",
+	walkFrames = frames() - f0
+	if sessions == 1 && walkFrames != 0 {
+		panic(fmt.Sprintf("experiments: E27 server-side walk bound violated: %d waiter frames while the sum walked to target-%d (want 0)",
 			walkFrames, step))
 	}
 
@@ -161,13 +174,11 @@ func sumWireCost(addr string, proto uint64, target, step uint64) (walkFrames, to
 	a.Increment(step) // sum reaches the target
 	<-done
 	release = time.Since(start)
-	s2, r2 := waiter.WireStats()
-	totalFrames = (s2 - base) + (r2 - baseRecv)
-	return walkFrames, totalFrames, release
+	return walkFrames, frames() - base, release
 }
 
 // E27: predicate waits over the wire — E24's storage and no-wake bounds
-// pushed across the process boundary by the wire v3 OpWaitFor frame.
+// pushed across the process boundary by the wire OpWaitFor frame.
 func init() {
 	register(Experiment{
 		ID:    "E27",
@@ -187,13 +198,15 @@ func init() {
 			"summed) while a separate client drove 10^4 increments into an already-satisfied " +
 			"member: monotone truth cannot regress, so the server's sentinels absorb every " +
 			"one and the bill must be zero (asserted at run time, as is the entry census). " +
-			"The v2-vs-v3 table walks a two-counter sum to just below its target and counts " +
-			"the waiter's frames: under v2 each frontier crossing fires a client sentinel " +
-			"that must re-park its wire-level wait (frames grow with crossings); under v3 " +
-			"the walk is free and the whole lifecycle costs three frames (register, wake, " +
-			"and the incrementer-side fence sharing the session is not counted). Release " +
-			"latency is the flip-to-resume interval and should not differ materially — the " +
-			"wake path is one frame either way.",
+			"The wire-cost table walks a two-counter sum to just below its target and counts " +
+			"the waiters' frames. Client-side, each counter comes from its own waiter session, " +
+			"so no session hosts the whole predicate: each frontier crossing fires a client " +
+			"sentinel that must re-park its wire-level wait (frames grow with crossings). " +
+			"Server-side, both counters come from one session, which ships the predicate in " +
+			"one OpWaitFor: the walk is free (asserted at run time) and the whole lifecycle " +
+			"costs two frames, the registration and the wake. Release latency is the " +
+			"flip-to-resume interval and should not differ materially — the wake path is one " +
+			"frame either way.",
 		Run: func(cfg Config) []*harness.Table {
 			churn := 10_000
 			sessionCounts := []int{1, 8, 32}
@@ -217,11 +230,14 @@ func init() {
 			}
 
 			wc := harness.NewTable(
-				fmt.Sprintf("Waiter wire cost, client-side (v2) vs server-side (v3) evaluation: sum over 2 counters to %d in steps of %d", target, step),
-				"protocol", "frames during walk", "frames arm→wake", "release")
-			for _, proto := range []uint64{2, 3} {
-				walk, total, release := sumWireCost(addr, proto, target, step)
-				wc.Add(fmt.Sprintf("v%d", proto), harness.U(walk), harness.U(total), harness.Dur(release))
+				fmt.Sprintf("Waiter wire cost, client-side vs server-side evaluation: sum over 2 counters to %d in steps of %d", target, step),
+				"evaluation", "waiter sessions", "frames during walk", "frames arm→wake", "release")
+			for _, row := range []struct {
+				name     string
+				sessions int
+			}{{"client-side", 2}, {"server-side", 1}} {
+				walk, total, release := sumWireCost(addr, row.sessions, target, step)
+				wc.Add(row.name, harness.I(row.sessions), harness.U(walk), harness.U(total), harness.Dur(release))
 			}
 			return []*harness.Table{ent, wc}
 		},

@@ -7,7 +7,7 @@ import (
 	"monotonic/internal/wire"
 )
 
-// Server-side predicate waits: the wire v3 OpWaitFor frame mounts the
+// Server-side predicate waits: the wire OpWaitFor frame mounts the
 // internal/predicate sentinel engine directly on the hosted counters.
 // One frame parks ONE entry per session predicate — a predicate.Cond
 // armed via Arm (no goroutine) whose sentinels sit at pigeonhole
@@ -22,9 +22,6 @@ import (
 // client when it flips. An already-satisfied predicate wakes
 // immediately without parking anything.
 func (c *conn) handleWaitFor(f *wire.Frame) error {
-	if c.version < 3 {
-		return fmt.Errorf("server: waitfor from protocol v%d client", c.version)
-	}
 	n := len(f.Watch)
 	var pred predicate.Pred
 	switch f.Pred {

@@ -7,43 +7,23 @@ import (
 	"monotonic/internal/wire"
 )
 
-// helloV performs the handshake at an explicit protocol version.
-func (c *rawClient) helloV(version, session uint64) wire.Frame {
-	c.t.Helper()
-	c.send(&wire.Frame{Op: wire.OpHello, Session: session, Seq: version})
-	f := c.recv()
-	if f.Op != wire.OpWelcome {
-		c.t.Fatalf("handshake reply %s, want welcome", f.Op)
-	}
-	return f
-}
-
-func TestNegotiation(t *testing.T) {
+func TestHelloVersion(t *testing.T) {
 	_, addr := startServer(t)
 
-	// A v3 hello is welcomed with the feature bits.
-	c3 := dialRaw(t, addr)
-	if w := c3.helloV(3, 0); w.Features&wire.FeatureWaitFor == 0 {
-		t.Fatalf("v3 welcome features = %#x, want FeatureWaitFor set", w.Features)
-	}
-
-	// A v2 hello is welcomed with a v2-shaped frame: no feature bits.
-	c2 := dialRaw(t, addr)
-	if w := c2.helloV(2, 0); w.Features != 0 {
-		t.Fatalf("v2 welcome features = %#x, want 0", w.Features)
-	}
-
-	// A v2 session still does ordinary counter work against the v3 server.
-	c2.send(
+	// A Hello at wire.Version is welcomed and the session does ordinary
+	// counter work.
+	c := dialRaw(t, addr)
+	c.hello(0)
+	c.send(
 		&wire.Frame{Op: wire.OpIncrement, Name: "neg", Seq: 1, Amount: 2},
 		&wire.Frame{Op: wire.OpCheck, Name: "neg", ID: 1, Level: 2},
 	)
-	if f := c2.recvOp(wire.OpWake); f.ID != 1 {
+	if f := c.recvOp(wire.OpWake); f.ID != 1 {
 		t.Fatalf("wake id = %d, want 1", f.ID)
 	}
 
-	// Out-of-range versions are rejected (connection closes).
-	for _, v := range []uint64{1, wire.Version + 1} {
+	// Any other version is rejected (connection closes).
+	for _, v := range []uint64{1, 2, wire.Version + 1} {
 		bad := dialRaw(t, addr)
 		bad.send(&wire.Frame{Op: wire.OpHello, Seq: v})
 		bad.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -56,7 +36,7 @@ func TestNegotiation(t *testing.T) {
 func TestWaitForQuorumParksOneEntry(t *testing.T) {
 	s, addr := startServer(t)
 	c := dialRaw(t, addr)
-	c.helloV(3, 0)
+	c.hello(0)
 
 	// 2-of-3 quorum at level 2. Nothing satisfied yet.
 	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 7, Pred: wire.PredThreshold, K: 2, Watch: []wire.Watch{
@@ -100,7 +80,7 @@ func TestWaitForQuorumParksOneEntry(t *testing.T) {
 func TestWaitForSumAlreadySatisfied(t *testing.T) {
 	s, addr := startServer(t)
 	c := dialRaw(t, addr)
-	c.helloV(3, 0)
+	c.hello(0)
 	c.send(
 		&wire.Frame{Op: wire.OpIncrement, Name: "s0", Seq: 1, Amount: 6},
 		&wire.Frame{Op: wire.OpIncrement, Name: "s1", Seq: 2, Amount: 6},
@@ -119,7 +99,7 @@ func TestWaitForSumAlreadySatisfied(t *testing.T) {
 func TestWaitForCancel(t *testing.T) {
 	s, addr := startServer(t)
 	c := dialRaw(t, addr)
-	c.helloV(3, 0)
+	c.hello(0)
 	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 9, Pred: wire.PredSum, Target: 100, Watch: []wire.Watch{
 		{Name: "x"}, {Name: "y"},
 	}})
@@ -142,7 +122,7 @@ func TestWaitForSatisfiedBeatsCancelled(t *testing.T) {
 	// and no OpCancelled may follow for that id.
 	_, addr := startServer(t)
 	c := dialRaw(t, addr)
-	c.helloV(3, 0)
+	c.hello(0)
 	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 4, Pred: wire.PredThreshold, K: 1, Watch: []wire.Watch{
 		{Name: "race", Level: 1},
 	}})
@@ -171,18 +151,9 @@ func TestWaitForSatisfiedBeatsCancelled(t *testing.T) {
 func TestWaitForProtocolErrors(t *testing.T) {
 	_, addr := startServer(t)
 
-	// v2 sessions may not send WaitFor.
-	c2 := dialRaw(t, addr)
-	c2.helloV(2, 0)
-	c2.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredSum, Target: 1, Watch: []wire.Watch{{Name: "a"}}})
-	c2.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := wire.Read(c2.br); err == nil {
-		t.Fatal("v2 waitfor accepted")
-	}
-
 	// Bad quorum size closes the connection.
 	c3 := dialRaw(t, addr)
-	c3.helloV(3, 0)
+	c3.hello(0)
 	c3.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredThreshold, K: 3, Watch: []wire.Watch{
 		{Name: "a", Level: 1}, {Name: "b", Level: 1},
 	}})
@@ -193,7 +164,7 @@ func TestWaitForProtocolErrors(t *testing.T) {
 
 	// Unknown predicate kind closes the connection.
 	c4 := dialRaw(t, addr)
-	c4.helloV(3, 0)
+	c4.hello(0)
 	c4.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: 99, Watch: []wire.Watch{{Name: "a"}}})
 	c4.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := wire.Read(c4.br); err == nil {
@@ -202,7 +173,7 @@ func TestWaitForProtocolErrors(t *testing.T) {
 
 	// Duplicate wait id (across check and predicate tables) closes.
 	c5 := dialRaw(t, addr)
-	c5.helloV(3, 0)
+	c5.hello(0)
 	c5.send(
 		&wire.Frame{Op: wire.OpCheck, Name: "a", ID: 2, Level: 10},
 		&wire.Frame{Op: wire.OpWaitFor, ID: 2, Pred: wire.PredSum, Target: 5, Watch: []wire.Watch{{Name: "a"}}},
@@ -220,7 +191,7 @@ func TestWaitForTeardownUnparks(t *testing.T) {
 	// entry and no sentinels behind.
 	s, addr := startServer(t)
 	c := dialRaw(t, addr)
-	c.helloV(3, 0)
+	c.hello(0)
 	c.send(&wire.Frame{Op: wire.OpWaitFor, ID: 1, Pred: wire.PredSum, Target: 100, Watch: []wire.Watch{
 		{Name: "td0"}, {Name: "td1"},
 	}})
@@ -237,7 +208,7 @@ func TestWaitForTeardownUnparks(t *testing.T) {
 	}
 	// Fresh connection can Reset the counters: nothing is parked on them.
 	c2 := dialRaw(t, addr)
-	c2.helloV(3, 0)
+	c2.hello(0)
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		c2.send(&wire.Frame{Op: wire.OpReset, Name: "td0", ID: 1})

@@ -20,13 +20,14 @@
 // server 2C long-lived goroutines and none per counter, independent of
 // N — experiment E22 asserts exactly this bound.
 //
-// Wire v3 adds server-side predicate waits (predwait.go): an OpWaitFor
-// frame parks one predicate.Cond entry per session predicate, armed via
-// the engine's goroutine-free callback hook, with sentinels at
-// pigeonhole frontiers on the hosted counters — a quorum over N
-// counters costs one parked entry and zero client round trips per
-// non-flipping increment (experiment E27 asserts both bounds). v2
-// clients still connect and evaluate predicates client-side.
+// The server speaks exactly one wire dialect, wire.Version; a Hello
+// carrying any other version closes the connection. Server-side
+// predicate waits (predwait.go): an OpWaitFor frame parks one
+// predicate.Cond entry per session predicate, armed via the engine's
+// goroutine-free callback hook, with sentinels at pigeonhole frontiers
+// on the hosted counters — a quorum over N counters costs one parked
+// entry and zero client round trips per non-flipping increment
+// (experiment E27 asserts both bounds).
 package server
 
 import (
@@ -247,12 +248,6 @@ type conn struct {
 	ackedSeq uint64
 	owedAck  uint64
 
-	// version is the protocol dialect this connection negotiated at
-	// Hello — the client's version, anywhere in [wire.MinVersion,
-	// wire.Version]. Written once by the reader goroutine and only read
-	// on frame-handling paths, so it needs no lock.
-	version uint64
-
 	// waits indexes this connection's parked OpCheck and OpWaitFor
 	// registrations by client-chosen id (wait.go); nil once torn down.
 	// Guarded by waitMu, which is never held while arming or disarming.
@@ -309,15 +304,9 @@ func (c *conn) handle(f *wire.Frame) error {
 	}
 	switch f.Op {
 	case wire.OpHello:
-		// Negotiation, not rejection: any dialect in [MinVersion,
-		// Version] is served. The Welcome advertises feature bits only
-		// to v3+ clients — a v2 Welcome stays byte-identical to what a
-		// v2 server sends, so old decoders never see trailing bytes.
-		if f.Seq < wire.MinVersion || f.Seq > wire.Version {
-			return fmt.Errorf("server: protocol version %d, want %d..%d",
-				f.Seq, wire.MinVersion, wire.Version)
+		if f.Seq != wire.Version {
+			return fmt.Errorf("server: protocol version %d, want %d", f.Seq, wire.Version)
 		}
-		c.version = f.Seq
 		id, sess := c.srv.session(f.Session)
 		c.sess = sess
 		sess.mu.Lock()
@@ -326,11 +315,7 @@ func (c *conn) handle(f *wire.Frame) error {
 		c.wmu.Lock()
 		c.ackedSeq = last
 		c.wmu.Unlock()
-		var feat uint64
-		if c.version >= 3 {
-			feat = wire.FeatureWaitFor
-		}
-		c.send(&wire.Frame{Op: wire.OpWelcome, Session: id, Seq: last, Epoch: c.srv.epoch, Features: feat})
+		c.send(&wire.Frame{Op: wire.OpWelcome, Session: id, Seq: last, Epoch: c.srv.epoch})
 
 	case wire.OpIncrement:
 		h, err := c.hosted(f.Name)

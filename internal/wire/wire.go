@@ -3,9 +3,9 @@
 // (counter/remote). It is deliberately tiny and stdlib-only: every
 // message is one length-prefixed frame, and the whole vocabulary is the
 // counter interface itself (Increment/Check/Cancel/Reset/Stats), the
-// multi-counter predicate waits the v3 dialect adds (WaitFor /
-// WaitForCancel — see counter/wait for the predicate model), and the
-// session handshake that makes reconnects retry-safe.
+// multi-counter predicate waits (WaitFor / WaitForCancel — see
+// counter/wait for the predicate model), and the session handshake that
+// makes reconnects retry-safe.
 //
 // # Framing
 //
@@ -14,9 +14,9 @@
 // encoded as a uvarint (integers) or a uvarint byte count followed by the
 // bytes (strings). Frames are self-contained: a reader that knows the
 // length can skip an unknown frame, and a writer can batch any number of
-// frames into one TCP segment — both sides do (the server's per
-// connection writer and the client's flusher coalesce whatever is queued
-// into a single write).
+// frames into one TCP segment — both sides do (the server's reader
+// flushes what its batch queued when its read buffer drains, and the
+// client's flusher coalesces whatever is queued into a single write).
 //
 // # Idempotency
 //
@@ -39,28 +39,13 @@ import (
 	"io"
 )
 
-// Version is the protocol version this package speaks natively, carried
-// in Hello. Version 2 added the boot Epoch to Welcome (node identity for
-// the cluster layer's restart detection). Version 3 added version
-// NEGOTIATION in place of version rejection — the server accepts any
-// version in [MinVersion, Version] and answers in the client's dialect —
-// plus the Features bits in the v3 Welcome and the multi-counter
-// predicate wait frames (OpWaitFor / OpWaitForCancel).
+// Version is the protocol version, carried in Hello. It is the only
+// dialect either side speaks: a server closes a connection whose Hello
+// carries any other version. Version 2 added the boot Epoch to Welcome
+// (node identity for the cluster layer's restart detection); version 3
+// added the multi-counter predicate wait frames (OpWaitFor /
+// OpWaitForCancel).
 const Version = 3
-
-// MinVersion is the oldest client dialect a v3 server still serves: a
-// v2 client gets a v2-shaped Welcome (no Features field) and simply
-// never sends the v3 opcodes — its predicate waits stay client-side.
-const MinVersion = 2
-
-// Feature bits carried in the v3 Welcome. A client uses a capability
-// only when the serving instance advertised it, so a mixed-version
-// deployment degrades to the v2 behavior instead of desynchronizing.
-const (
-	// FeatureWaitFor: the server evaluates monotone multi-counter
-	// predicates in-process (OpWaitFor / OpWaitForCancel).
-	FeatureWaitFor uint64 = 1 << 0
-)
 
 // MaxFrame bounds a frame's payload, protecting both sides from a
 // corrupt or hostile length prefix. Counter names are the only variable
@@ -120,7 +105,7 @@ const (
 	// OpStats requests the named counter's engine stats; reply is
 	// OpStatsReply{ID, Stats}.
 	OpStats Op = 0x06
-	// OpWaitFor (v3) registers a multi-counter predicate wait: the
+	// OpWaitFor registers a multi-counter predicate wait: the
 	// server evaluates the monotone predicate (Pred kind, K/Target,
 	// Watch set) against its hosted counters and replies OpWake{ID}
 	// once — and only once — it holds. One frame parks one server-side
@@ -128,7 +113,7 @@ const (
 	// condition, and a hosted increment that cannot flip the predicate
 	// sends the client nothing.
 	OpWaitFor Op = 0x07
-	// OpWaitForCancel (v3) deregisters the predicate wait with ID. The
+	// OpWaitForCancel deregisters the predicate wait with ID. The
 	// server replies OpCancelled{ID} if the wait was still pending; if
 	// the wake is already in flight it stays silent — same race rule as
 	// OpCancel.
@@ -240,21 +225,20 @@ type Watch struct {
 // Op are set; see the opcode docs for which those are. Using one struct
 // for the whole vocabulary keeps the reader loops a single switch.
 type Frame struct {
-	Op       Op
-	Name     string  // counter name (Increment, Check, Reset, Stats)
-	Session  uint64  // Hello, Welcome
-	Epoch    uint64  // Welcome: the server instance's boot epoch (node identity)
-	Seq      uint64  // Increment/IncAck sequence; Hello version; Welcome last applied seq
-	ID       uint64  // wait id (Check/Cancel/WaitFor*/Wake/Cancelled) or request id (Reset/Stats and replies)
-	Level    uint64  // Check level; Wake satisfied level (zero for predicate wakes)
-	Amount   uint64  // Increment amount
-	Msg      string  // Error message
-	Stats    Stats   // StatsReply
-	Features uint64  // Welcome (v3 only): the server's feature bits
-	Pred     uint64  // WaitFor: predicate kind (PredSum, PredThreshold)
-	K        uint64  // WaitFor: quorum count (PredThreshold)
-	Target   uint64  // WaitFor: sum target (PredSum)
-	Watch    []Watch // WaitFor: the watched counters, in coordinate order
+	Op      Op
+	Name    string  // counter name (Increment, Check, Reset, Stats)
+	Session uint64  // Hello, Welcome
+	Epoch   uint64  // Welcome: the server instance's boot epoch (node identity)
+	Seq     uint64  // Increment/IncAck sequence; Hello version; Welcome last applied seq
+	ID      uint64  // wait id (Check/Cancel/WaitFor*/Wake/Cancelled) or request id (Reset/Stats and replies)
+	Level   uint64  // Check level; Wake satisfied level (zero for predicate wakes)
+	Amount  uint64  // Increment amount
+	Msg     string  // Error message
+	Stats   Stats   // StatsReply
+	Pred    uint64  // WaitFor: predicate kind (PredSum, PredThreshold)
+	K       uint64  // WaitFor: quorum count (PredThreshold)
+	Target  uint64  // WaitFor: sum target (PredSum)
+	Watch   []Watch // WaitFor: the watched counters, in coordinate order
 }
 
 // ErrFrameTooLarge is returned for length prefixes beyond MaxFrame.
@@ -287,14 +271,6 @@ func Append(buf []byte, f *Frame) []byte {
 		buf = appendUint(buf, f.Session)
 		buf = appendUint(buf, f.Seq)
 		buf = appendUint(buf, f.Epoch)
-		// The Features field exists only in the v3 dialect. The server
-		// answers a v2 Hello with Features == 0, which elides the field
-		// and yields exactly the v2 frame a v2 decoder expects (it would
-		// reject trailing bytes); a v3 server always advertises at least
-		// one bit, so v3 clients always see the field.
-		if f.Features != 0 {
-			buf = appendUint(buf, f.Features)
-		}
 	case OpWaitFor:
 		buf = appendUint(buf, f.ID)
 		buf = appendUint(buf, f.Pred)
@@ -370,11 +346,6 @@ func Decode(payload []byte) (Frame, error) {
 		f.Name, f.ID = d.string(), d.uint()
 	case OpWelcome:
 		f.Session, f.Seq, f.Epoch = d.uint(), d.uint(), d.uint()
-		// Features is optional: a v2 server's Welcome ends at Epoch, a
-		// v3 server's carries the bits. One decoder serves both dialects.
-		if len(d.buf) != 0 {
-			f.Features = d.uint()
-		}
 	case OpWaitFor:
 		f.ID, f.Pred, f.K, f.Target = d.uint(), d.uint(), d.uint(), d.uint()
 		n := d.uint()

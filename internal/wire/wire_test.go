@@ -24,7 +24,6 @@ func sampleFrames() []Frame {
 		{Op: OpStats, Name: "phase", ID: 12},
 		{Op: OpWelcome, Session: 5, Seq: 40, Epoch: 0xdeadbeef},
 		{Op: OpWelcome, Session: 5, Seq: 40, Epoch: 0},
-		{Op: OpWelcome, Session: 5, Seq: 40, Epoch: 0xdeadbeef, Features: FeatureWaitFor},
 		{Op: OpWaitFor, ID: 13, Pred: PredSum, Target: 1 << 50, Watch: []Watch{
 			{Name: "a"}, {Name: "b"},
 		}},
@@ -130,33 +129,6 @@ func TestOverlongNameRejected(t *testing.T) {
 	}
 }
 
-// TestWelcomeDialects pins the negotiation contract at the byte level:
-// a Welcome with Features == 0 is byte-identical to the v2 frame (so a
-// true v2 decoder, which rejects trailing bytes, accepts it), and a v3
-// Welcome's Features survive the round trip while a v2 one's decode to
-// zero.
-func TestWelcomeDialects(t *testing.T) {
-	v2 := Append(nil, &Frame{Op: OpWelcome, Session: 5, Seq: 40, Epoch: 99})
-	v3 := Append(nil, &Frame{Op: OpWelcome, Session: 5, Seq: 40, Epoch: 99, Features: FeatureWaitFor})
-	if !bytes.Equal(v2[4:], v3[4:len(v3)-1]) {
-		t.Fatalf("v3 welcome payload is not the v2 payload plus one feature byte:\nv2 %x\nv3 %x", v2, v3)
-	}
-	got, err := Decode(v2[4:])
-	if err != nil {
-		t.Fatalf("v2 welcome: %v", err)
-	}
-	if got.Features != 0 {
-		t.Fatalf("v2 welcome decoded Features = %d, want 0", got.Features)
-	}
-	got, err = Decode(v3[4:])
-	if err != nil {
-		t.Fatalf("v3 welcome: %v", err)
-	}
-	if got.Features != FeatureWaitFor {
-		t.Fatalf("v3 welcome decoded Features = %d, want %d", got.Features, FeatureWaitFor)
-	}
-}
-
 // TestWaitForWatchBounds rejects empty and oversized watch sets at the
 // decode boundary, before any server logic sees them.
 func TestWaitForWatchBounds(t *testing.T) {
@@ -189,4 +161,28 @@ func TestWaitForTruncation(t *testing.T) {
 			t.Fatalf("cut at %d/%d reported clean EOF", cut, len(buf))
 		}
 	}
+}
+
+// FuzzDecode feeds arbitrary payloads to Decode, seeded with every
+// sample frame's payload. Decode must never panic, and every payload it
+// accepts must survive a semantic round trip: Append then Decode yields
+// the same Frame. Byte identity is not required — binary.Uvarint
+// accepts non-minimal encodings that Append never produces.
+func FuzzDecode(f *testing.F) {
+	for _, fr := range sampleFrames() {
+		f.Add(Append(nil, &fr)[4:])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, err := Decode(payload)
+		if err != nil {
+			return
+		}
+		again, err := Decode(Append(nil, &got)[4:])
+		if err != nil {
+			t.Fatalf("re-encoded %s frame rejected: %v", got.Op, err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip of %x = %+v, want %+v", payload, again, got)
+		}
+	})
 }
